@@ -47,14 +47,6 @@ const (
 	maxStoredTraces = 16
 )
 
-// RetryBudgetHeader carries a client's remaining retry budget on a submit.
-// The cluster coordinator caps its own placement attempts (primaries +
-// steals + hedges) by it, so a client that keeps retrying and a
-// coordinator that keeps re-placing cannot multiply each other's work
-// unboundedly. Defined here, next to the API surface, so the client and
-// the coordinator cannot drift.
-const RetryBudgetHeader = "X-Cdpd-Retry-Budget"
-
 // ResultCache is the slice of the result cache the handlers use. Both the
 // plain in-memory simcache.Cache and the cluster's simcache.TieredCache
 // (mem → disk spill → peer fetch) satisfy it, which is how a worker joins
@@ -354,10 +346,7 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // (the ring would only cover the tail segment).
 func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.Checkpoint, cfg sim.Config, resume *sim.Snapshot, tr *simtrace.Tracer) (*sim.Result, error) {
 	if cfg.CheckpointEveryOps <= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return sim.RunTraced(ck, cfg, tr), nil
+		return sim.RunTracedContext(ctx, ck, cfg, tr)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -329,7 +329,11 @@ func (s *Server) arenaCell(ctx context.Context, spec workloads.Spec, cfg sim.Con
 			return nil, err
 		}
 		ck := workloads.Checkpoint(spec, ops)
-		return renderResult(spec.Name, ops, sim.Run(ck, cfg))
+		res, err := sim.RunContext(ctx, ck, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return renderResult(spec.Name, ops, res)
 	})
 	if err != nil {
 		return nil, err

@@ -379,7 +379,7 @@ func runClusterJob(s *Suite, j *Job, rep int, report *benchio.Report, opts *RunO
 
 	// Reconciliation. The bucket quantiles above are estimates, but two
 	// exact invariants must hold when the cluster behaved: every successful
-	// request ran exactly one simulation (unique cache keys, hedging off),
+	// request ran exactly one simulation (unique cache keys, one placement each),
 	// and the mean client round trip can only exceed the mean server-side
 	// run duration (the round trip contains it).
 	cr.Consistent = len(chaosRep.Violations) == 0

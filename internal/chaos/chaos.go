@@ -240,11 +240,8 @@ func (r *Run) StartCoordinator(mutate func(*cluster.CoordinatorOptions)) {
 		}))
 	}
 	opts := cluster.CoordinatorOptions{
-		LeaseTTL: 60 * time.Second,
-		StateDir: r.stateDir,
-		// Hedging off by default so exactly-once deltas are strict; the
-		// hedge path has its own unit coverage.
-		HedgeDelay:         time.Hour,
+		LeaseTTL:           60 * time.Second,
+		StateDir:           r.stateDir,
 		CheckpointEveryOps: 50_000,
 	}
 	if mutate != nil {
@@ -370,9 +367,13 @@ func (r *Run) KillWorker(name string) {
 		return
 	}
 	node.killed = true
+	// A SIGKILL drops every connection and stops every job at once. Abort
+	// the front door first, so no reply from the worker's own teardown
+	// reaches a client, then stop the jobs before the blocking Close.
+	node.partitioned.Store(true)
 	node.ts.CloseClientConnections()
-	node.ts.Close()
 	node.w.Kill()
+	node.ts.Close()
 	r.Logf("worker %s killed", name)
 }
 
@@ -468,7 +469,7 @@ func (r *Run) checkJournalClosed() {
 }
 
 // checkGoroutines polls until the goroutine count returns near its
-// pre-scenario level — a stuck forward, hedge, or heartbeat loop shows up
+// pre-scenario level — a stuck forward or heartbeat loop shows up
 // here.
 func (r *Run) checkGoroutines() {
 	const slack = 12
@@ -622,6 +623,23 @@ func (r *Run) WaitSnapshot(jobID string) {
 		}
 		if time.Now().After(deadline) {
 			r.Failf("job %s never persisted a snapshot", jobID)
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// WaitOpenPlacements blocks until the coordinator's journal holds at least
+// n open placements — the signal that a fan-out has journaled its cells.
+func (r *Run) WaitOpenPlacements(n int) {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		state, err := cluster.ReadJournal(r.stateDir)
+		if err == nil && len(state.Open) >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			r.Failf("journal never held %d open placements (have %d, err %v)", n, len(state.Open), err)
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -44,16 +44,17 @@ var KillCoordinatorMidArena = Scenario{
 		arenaJob := r.SubmitArenaAsync(params)
 		r.Logf("arena %s submitted (%d cells)", arenaJob, cells)
 
-		// Let the fan-out journal its cell placements, then pull the plug.
-		time.Sleep(300 * time.Millisecond)
+		// Wait for the fan-out to journal every cell, then pull the plug.
+		r.WaitOpenPlacements(cells)
 		r.KillCoordinator()
 
 		r.RestartCoordinator()
 		r.WaitForWorkers(3)
 
 		// The orphaned cells are being re-adopted; while they run, kill one
-		// worker. Its in-flight cell resumes from the shared checkpoint dir
-		// on a survivor; its finished cells sit in the shared tier.
+		// worker. Its in-flight cells stop with it uncounted and are
+		// recomputed on a survivor; its finished cells sit in the shared
+		// tier.
 		victim := r.WorkerNames()[r.pick("victim", 3)]
 		r.KillWorker(victim)
 

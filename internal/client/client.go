@@ -17,7 +17,10 @@
 // with a rewindable body, so even a 307 on POST /v1/sim replays safely —
 // content keying makes the replay idempotent), and circuit breakers are
 // per endpoint, so one dead worker fails fast without cutting off the
-// coordinator or its healthy peers (see WithBaseURL).
+// coordinator or its healthy peers (see WithBaseURL). Retries cannot
+// multiply a coordinator's work either: a retried key that is still in
+// flight attaches to the placement already running for it, so every
+// attempt is the same request and carries no attempt count.
 package client
 
 import (
@@ -335,7 +338,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			}
 			return err
 		}
-		spoke, retryable, wait, err := c.once(ctx, method, path, body, out, c.cfg.maxRetries()-attempt)
+		spoke, retryable, wait, err := c.once(ctx, method, path, body, out)
 		c.breakerRecord(spoke)
 		if err == nil {
 			return nil
@@ -357,11 +360,10 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 // produced a coherent HTTP response (feeding the breaker: overload and
 // validation answers prove the daemon is up; connection failures and torn
 // bodies do not); retryable reports whether a failure is worth retrying,
-// with any server-mandated wait (Retry-After). remaining is the retry
-// budget left after this attempt; it rides along as a header so a cluster
-// coordinator can shrink its own steal/hedge budget as the client's
-// patience runs out, keeping client retries × server placements bounded.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, remaining int) (spoke, retryable bool, wait time.Duration, err error) {
+// with any server-mandated wait (Retry-After). Every attempt is the same
+// request: the server, not a header, keeps retries from multiplying work,
+// because a retry of a key still in flight attaches to the running job.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any) (spoke, retryable bool, wait time.Duration, err error) {
 	var rd io.Reader
 	if body != nil {
 		// bytes.Reader gives NewRequest a GetBody, which is what lets the
@@ -373,7 +375,6 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return false, false, 0, err
 	}
-	req.Header.Set(api.RetryBudgetHeader, strconv.Itoa(max(remaining, 0)))
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}

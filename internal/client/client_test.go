@@ -320,36 +320,3 @@ func TestEndToEndAgainstDaemonWithFaults(t *testing.T) {
 		t.Fatal("daemon not ready after the exchange")
 	}
 }
-
-// TestRetryBudgetHeader: every attempt advertises its remaining retries in
-// X-Cdpd-Retry-Budget, counting down as attempts burn — the coordinator
-// reads it to cap placement attempts (primaries + steals + hedges) at what
-// the client will actually wait around for.
-func TestRetryBudgetHeader(t *testing.T) {
-	var budgets []string
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		budgets = append(budgets, r.Header.Get(api.RetryBudgetHeader))
-		if calls.Add(1) < 3 {
-			w.WriteHeader(http.StatusInternalServerError)
-			_, _ = w.Write([]byte(`{"error":"scripted failure"}`))
-			return
-		}
-		_, _ = w.Write([]byte(`{"cached":false,"result":{}}`))
-	}))
-	t.Cleanup(ts.Close)
-
-	c := New(Config{BaseURL: ts.URL, MaxRetries: 3, Sleep: noSleep, Rand: func() float64 { return 0.5 }})
-	if _, err := c.RunSim(context.Background(), api.SimRequest{Benchmark: "b2c"}); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"3", "2", "1"}
-	if len(budgets) != len(want) {
-		t.Fatalf("budget headers %v, want %v", budgets, want)
-	}
-	for i := range want {
-		if budgets[i] != want[i] {
-			t.Fatalf("attempt %d advertised budget %q, want %q", i, budgets[i], want[i])
-		}
-	}
-}

@@ -451,7 +451,6 @@ func TestClusterMetrics(t *testing.T) {
 		"cdpd_cluster_workers_live", "cdpd_cluster_steals_total",
 		"cdpd_cluster_rebalances_total", "cdpd_cluster_generation",
 		"cdpd_cluster_worker_inflight",
-		"cdpd_cluster_hedges_total", "cdpd_cluster_hedge_wins_total",
 		"cdpd_cluster_readopted_total", "cdpd_cluster_placements_open",
 	} {
 		if fams[name] == nil || len(fams[name].Samples) == 0 {

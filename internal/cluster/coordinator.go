@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -47,23 +46,6 @@ const (
 	// arena sweep, so one sweep cannot flood a small fleet's queues into
 	// backpressure.
 	arenaFanout = 8
-
-	// hedgeHeadroom scales the placement-rate EWMA into the hedge delay: a
-	// placement this many times slower than the running mean is treated as
-	// a likely straggler and a second placement races it. The multiplier
-	// plays the p99 role the api layer's adaptive timeout uses headroom
-	// for, just at hedging (not failing) aggressiveness.
-	hedgeHeadroom = 4
-	// hedgeDelayMin keeps hedges from firing on normal jitter once the
-	// EWMA has converged on a fast fleet; hedgeDelayMax keeps a huge sim's
-	// hedge from waiting out most of the job; hedgeDelayDefault covers the
-	// cold start before any placement has been observed.
-	hedgeDelayMin     = 250 * time.Millisecond
-	hedgeDelayMax     = 30 * time.Second
-	hedgeDelayDefault = 2 * time.Second
-	// routeRateAlpha is the EWMA smoothing factor for placement ns/op
-	// (same constant the api layer uses for run rate).
-	routeRateAlpha = 0.3
 )
 
 // errNoWorkers fails jobs routed while the ring is empty.
@@ -138,10 +120,6 @@ type CoordinatorOptions struct {
 	// restart forgets the cluster and workers must re-register from
 	// scratch).
 	StateDir string
-	// HedgeDelay fixes the straggler threshold before a second placement
-	// races the first (0 = derive it from the placement-rate EWMA). Tests
-	// and chaos scenarios pin it to make hedging deterministic.
-	HedgeDelay time.Duration
 	// Logger receives cluster lifecycle logs. Nil discards.
 	Logger *slog.Logger
 }
@@ -193,14 +171,7 @@ type Coordinator struct {
 
 	steals     atomic.Uint64
 	rebalances atomic.Uint64
-	hedges     atomic.Uint64
-	hedgeWins  atomic.Uint64
 	readopted  atomic.Uint64
-	// routeEwmaNs is Float64bits of the EWMA nanoseconds-per-op a
-	// successful placement costs end to end; hedgeDelay derives the
-	// straggler threshold from it (the api layer's adaptiveTimeout
-	// pattern).
-	routeEwmaNs atomic.Uint64
 }
 
 // NewCoordinator builds and starts a coordinator: its local queue, the
@@ -329,7 +300,7 @@ func (c *Coordinator) readoptPlacement(pl Placement) {
 	}
 	c.readopted.Add(1)
 	c.logger.Info("placement re-adopted from journal", "job_id", id, "last_worker", pl.Worker)
-	go c.forward(job, id, key, ops, req, maxRouteAttempts)
+	go c.forward(job, id, key, req)
 }
 
 // ServeHTTP implements http.Handler.
@@ -594,70 +565,16 @@ func (c *Coordinator) notePlaced(id, workerURL string) {
 	c.mu.Unlock()
 }
 
-// observeRouteRate folds one successful placement's end-to-end cost into
-// the EWMA hedgeDelay derives straggler thresholds from (the api layer's
-// observeSimRate pattern: lock-free CAS over Float64bits).
-func (c *Coordinator) observeRouteRate(elapsed time.Duration, ops int) {
-	if ops <= 0 || elapsed <= 0 {
-		return
-	}
-	sample := float64(elapsed.Nanoseconds()) / float64(ops)
-	for {
-		old := c.routeEwmaNs.Load()
-		next := sample
-		if old != 0 {
-			next = routeRateAlpha*sample + (1-routeRateAlpha)*math.Float64frombits(old)
-		}
-		if c.routeEwmaNs.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// hedgeDelay is how long a placement may run before a second one races it:
-// headroom × EWMA ns/op × ops, clamped, with a fixed default before the
-// first observation.
-func (c *Coordinator) hedgeDelay(ops int) time.Duration {
-	if c.opts.HedgeDelay > 0 {
-		return c.opts.HedgeDelay
-	}
-	bits := c.routeEwmaNs.Load()
-	if bits == 0 || ops <= 0 {
-		return hedgeDelayDefault
-	}
-	d := time.Duration(hedgeHeadroom * math.Float64frombits(bits) * float64(ops))
-	return min(max(d, hedgeDelayMin), hedgeDelayMax)
-}
-
-// pickHedge returns a live member for a second placement of key that is
-// not the primary: the key's next ring successor, where a replica of the
-// result would land anyway.
-func (c *Coordinator) pickHedge(key simcache.Key, primary string) (memberInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, name := range c.ring.Successors(key, 2) {
-		if name == primary {
-			continue
-		}
-		if m, ok := c.members[name]; ok {
-			return m.info, true
-		}
-	}
-	return memberInfo{}, false
-}
-
 // routeSim places one simulation on its ring owner and returns the
 // worker's terminal answer, journaling the placement lifecycle so a
-// coordinator crash can re-adopt it. A transport-level failure is treated
-// as a dead worker: drop it from the ring (stealing its other in-flight
-// jobs too) and re-route to the new owner, who resumes from the latest
-// shared checkpoint snapshot when there is one. An HTTP-level error means
-// the worker is alive and rejecting — that fails the job, it does not
-// steal. A placement that outlives the EWMA-derived hedge delay gets a
-// second placement racing it on the key's next successor; first completion
-// wins, and the shared budget bounds primaries + steals + hedges together.
-func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key, ops int, req api.SimRequest, budget int) ([]byte, bool, error) {
-	budget = max(1, min(budget, maxRouteAttempts))
+// coordinator crash can re-adopt it. Each routing attempt places the job
+// exactly once. A transport-level failure is treated as a dead worker:
+// drop it from the ring (stealing its other in-flight jobs too) and
+// re-route to the new owner, who resumes from the latest shared checkpoint
+// snapshot when there is one. An HTTP-level error means the worker is
+// alive and rejecting — that fails the job, it does not steal. A slow
+// placement is simply waited out: sims run once.
+func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key, req api.SimRequest) ([]byte, bool, error) {
 	req.Wait = true
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -666,12 +583,14 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 	c.journalBegin(id, body)
 	defer c.journalEnd(id)
 	var lastErr error
-	for used := 0; used < budget; {
+	for range maxRouteAttempts {
 		owner, ok := c.pickOwner(key)
 		if !ok {
 			return nil, false, errNoWorkers
 		}
-		data, cached, spoke, err := c.placeHedged(ctx, id, key, owner, body, ops, &used, budget)
+		c.journal.append(journalRecord{T: "placed", Job: id, Worker: owner.Name})
+		c.notePlaced(id, owner.URL)
+		data, cached, spoke, err := c.postSim(ctx, owner, id, body)
 		if err == nil {
 			return data, cached, nil
 		}
@@ -683,9 +602,15 @@ func (c *Coordinator) routeSim(ctx context.Context, id string, key simcache.Key,
 		if spoke {
 			return nil, false, err
 		}
+		c.steals.Add(1)
+		c.dropMember(owner.Name, fmt.Sprintf("forward failed: %v", err))
+		c.logger.Info("job stolen", "job_id", id, "from", owner.Name)
+		// Fault point: a coordinator that dawdles between detecting the
+		// death and re-routing; clients must simply keep waiting.
+		_ = faultinject.Sleep(ctx, "cluster.steal.stall")
 		lastErr = err
 	}
-	return nil, false, fmt.Errorf("cluster: job %s exhausted its placement budget (%d); workers dying faster than they join (last: %v)", id, budget, lastErr)
+	return nil, false, fmt.Errorf("cluster: job %s exhausted its %d placements; workers dying faster than they join (last: %v)", id, maxRouteAttempts, lastErr)
 }
 
 // journalBegin reference-counts in-flight placements per job ID and
@@ -718,103 +643,6 @@ func (c *Coordinator) journalEnd(id string) {
 	c.mu.Unlock()
 	if last && c.rootCtx.Err() == nil {
 		c.journal.append(journalRecord{T: "done", Job: id})
-	}
-}
-
-// placeOutcome is one placement's terminal result inside placeHedged.
-type placeOutcome struct {
-	owner  memberInfo
-	data   []byte
-	cached bool
-	spoke  bool
-	err    error
-	hedge  bool
-}
-
-// placeHedged runs one placement round: the primary placement on owner,
-// plus — if it outlives the hedge delay and the budget allows — a hedge on
-// the key's next successor. First success wins and cancels the loser (the
-// content-keyed job ID makes the duplicate placement collapse on the
-// worker side, so "losing" costs nothing). Transport deaths drop the dead
-// worker immediately, even while the sibling placement keeps running.
-// spoke=true on error means a coherent HTTP rejection the caller must not
-// retry.
-func (c *Coordinator) placeHedged(ctx context.Context, id string, key simcache.Key, owner memberInfo, body []byte, ops int, used *int, budget int) (data []byte, cached, spoke bool, err error) {
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	resCh := make(chan placeOutcome, 2)
-	launch := func(m memberInfo, hedge bool) {
-		*used++
-		c.journal.append(journalRecord{T: "placed", Job: id, Worker: m.Name})
-		c.notePlaced(id, m.URL)
-		go func() {
-			start := time.Now()
-			data, cached, spoke, err := c.postSim(pctx, m, id, body)
-			if err == nil {
-				c.observeRouteRate(time.Since(start), ops)
-			}
-			resCh <- placeOutcome{owner: m, data: data, cached: cached, spoke: spoke, err: err, hedge: hedge}
-		}()
-	}
-	launch(owner, false)
-
-	// The hedge timer only arms while budget remains. The hedge.fire fault
-	// point collapses the delay so tests drive the hedge path without
-	// waiting out a real straggler.
-	var hedgeC <-chan time.Time
-	if *used < budget {
-		delay := c.hedgeDelay(ops)
-		if faultinject.Should("cluster.hedge.fire") {
-			delay = 0
-		}
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-
-	inflight := 1
-	var firstErr error
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if next, ok := c.pickHedge(key, owner.Name); ok && *used < budget {
-				c.hedges.Add(1)
-				c.logger.Info("placement hedged", "job_id", id, "primary", owner.Name, "hedge", next.Name)
-				launch(next, true)
-				inflight++
-			}
-		case out := <-resCh:
-			inflight--
-			if out.err == nil {
-				if out.hedge {
-					c.hedgeWins.Add(1)
-				}
-				return out.data, out.cached, true, nil
-			}
-			if ctx.Err() != nil {
-				return nil, false, false, ctx.Err()
-			}
-			if out.spoke {
-				return nil, false, true, out.err
-			}
-			// Transport death: steal now, even if a sibling placement is
-			// still in flight.
-			c.steals.Add(1)
-			c.dropMember(out.owner.Name, fmt.Sprintf("forward failed: %v", out.err))
-			c.logger.Info("job stolen", "job_id", id, "from", out.owner.Name)
-			// Fault point: a coordinator that dawdles between detecting the
-			// death and re-routing; clients must simply keep waiting.
-			_ = faultinject.Sleep(ctx, "cluster.steal.stall")
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inflight == 0 {
-				return nil, false, false, firstErr
-			}
-		case <-ctx.Done():
-			return nil, false, false, ctx.Err()
-		}
 	}
 }
 
@@ -889,16 +717,6 @@ func (c *Coordinator) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	key := simcache.KeyFor(spec, cfg, ops)
 	id := api.SimJobID(key)
 
-	// A client that has already burned retries hands us a smaller budget:
-	// the header caps primaries + steals + hedges for this placement, so
-	// client retries × coordinator attempts cannot multiply unboundedly.
-	budget := maxRouteAttempts
-	if v := r.Header.Get(api.RetryBudgetHeader); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			budget = min(n+1, maxRouteAttempts)
-		}
-	}
-
 	wait := req.Wait || r.URL.Query().Get("wait") == "1"
 	job, err := c.queue.SubmitExternal(id, req.Priority)
 	if errors.Is(err, jobq.ErrDuplicateID) {
@@ -912,14 +730,14 @@ func (c *Coordinator) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	go c.forward(job, id, key, ops, req, budget)
+	go c.forward(job, id, key, req)
 	c.respondJob(w, r, wait, job)
 }
 
 // forward drives one external job to its terminal state in the
-// background: route (with stealing and hedging), then publish the result.
+// background: route (with stealing), then publish the result.
 // Canceling the job cancels the placement.
-func (c *Coordinator) forward(job *jobq.Job, id string, key simcache.Key, ops int, req api.SimRequest, budget int) {
+func (c *Coordinator) forward(job *jobq.Job, id string, key simcache.Key, req api.SimRequest) {
 	ctx, cancel := context.WithCancel(c.rootCtx)
 	defer cancel()
 	go func() {
@@ -929,7 +747,7 @@ func (c *Coordinator) forward(job *jobq.Job, id string, key simcache.Key, ops in
 		case <-ctx.Done():
 		}
 	}()
-	data, cached, err := c.routeSim(ctx, id, key, ops, req, budget)
+	data, cached, err := c.routeSim(ctx, id, key, req)
 	if err != nil {
 		c.queue.CompleteExternal(id, nil, err)
 		return
@@ -1166,7 +984,7 @@ func (c *Coordinator) dispatchCell(ctx context.Context, bench, engineSpec string
 		return nil, err
 	}
 	key := simcache.KeyFor(spec, cfg, resolvedOps)
-	data, _, err := c.routeSim(ctx, api.SimJobID(key), key, resolvedOps, cellReq, maxRouteAttempts)
+	data, _, err := c.routeSim(ctx, api.SimJobID(key), key, cellReq)
 	if err != nil {
 		return nil, err
 	}
@@ -1231,8 +1049,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("cdpd_cluster_steals_total", "Jobs reclaimed from dead workers and re-routed.", "counter", c.steals.Load())
 	p("cdpd_cluster_rebalances_total", "Hash-ring rebuilds from membership changes.", "counter", c.rebalances.Load())
 	p("cdpd_cluster_generation", "Membership generation (increments per change).", "gauge", generation)
-	p("cdpd_cluster_hedges_total", "Second placements raced against suspected stragglers.", "counter", c.hedges.Load())
-	p("cdpd_cluster_hedge_wins_total", "Hedged placements that finished before the primary.", "counter", c.hedgeWins.Load())
 	p("cdpd_cluster_readopted_total", "Orphaned placements re-adopted from the journal after a restart.", "counter", c.readopted.Load())
 	p("cdpd_cluster_placements_open", "External placements accepted but not yet terminal.", "gauge", c.queue.ExternalInflight())
 	if c.journal != nil {

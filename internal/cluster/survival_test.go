@@ -125,9 +125,8 @@ func TestCoordinatorRestartReadoptsPlacement(t *testing.T) {
 	stateDir := t.TempDir()
 	ckptDir := t.TempDir()
 	opts := CoordinatorOptions{
-		LeaseTTL:   60 * time.Second,
-		StateDir:   stateDir,
-		HedgeDelay: 5 * time.Minute, // keep hedging out of the exactly-once count
+		LeaseTTL: 60 * time.Second,
+		StateDir: stateDir,
 	}
 
 	sc := newSwapCoordinator(t)
@@ -255,78 +254,6 @@ func TestRegisterJitterSpread(t *testing.T) {
 	}
 }
 
-// postSimBudget posts a waited request with an explicit retry-budget header
-// and returns the result bytes.
-func postSimBudget(t *testing.T, base string, req api.SimRequest, budget int) []byte {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq, err := http.NewRequest("POST", base+"/v1/sim?wait=1", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set(api.RetryBudgetHeader, strconv.Itoa(budget))
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	payload, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/sim: %d %s", resp.StatusCode, payload)
-	}
-	var env envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		t.Fatalf("bad envelope %s: %v", payload, err)
-	}
-	return env.Result
-}
-
-// TestHedgedPlacement: with cluster.hedge.fire armed the straggler delay
-// collapses to zero, so a second placement races the primary on the key's
-// next successor. First completion wins, the result stays byte-identical to
-// standalone, and a client retry budget of zero remaining suppresses the
-// hedge entirely — the budget caps primaries + steals + hedges together.
-func TestHedgedPlacement(t *testing.T) {
-	coord, coordTS := startCoordinator(t, CoordinatorOptions{LeaseTTL: 60 * time.Second})
-	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
-	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
-	waitForWorkers(t, coord, 2)
-
-	prev := faultinject.Enable(faultinject.MustParse(1, "cluster.hedge.fire"))
-	defer faultinject.Enable(prev)
-
-	req, _ := requestOwnedBy(t, "w1", []string{"w1", "w2"}, 400_000, 0)
-	ref := standaloneResult(t, req)
-
-	if _, result := postSimURL(t, coordTS.URL, req); !bytes.Equal(result, ref) {
-		t.Errorf("hedged result differs from standalone:\nhedged     %s\nstandalone %s", result, ref)
-	}
-	hedged := coord.hedges.Load()
-	if hedged < 1 {
-		t.Fatalf("hedges = %d with cluster.hedge.fire armed, want >= 1", hedged)
-	}
-
-	// Remaining budget 0 → total budget 1 → no slot for a hedge even with
-	// the fault forcing the timer.
-	req2, _ := requestOwnedBy(t, "w2", []string{"w1", "w2"}, 600_000, 0)
-	ref2 := standaloneResult(t, req2)
-	if result := postSimBudget(t, coordTS.URL, req2, 0); !bytes.Equal(result, ref2) {
-		t.Errorf("budget-capped result differs from standalone")
-	}
-	if got := coord.hedges.Load(); got != hedged {
-		t.Errorf("hedges grew %d -> %d despite an exhausted retry budget", hedged, got)
-	}
-
-	fams := scrape(t, coordTS.URL)
-	if got := fams["cdpd_cluster_hedges_total"].Value(t, 0); got < 1 {
-		t.Errorf("cdpd_cluster_hedges_total = %v, want >= 1", got)
-	}
-}
-
 // TestStealStallFault: cluster.steal.stall inserts its configured delay in
 // the steal path without changing the outcome — the placement on a dead
 // member still fails over to a live worker and returns standalone-identical
@@ -360,6 +287,53 @@ func TestStealStallFault(t *testing.T) {
 	}
 	if plan.Fired() < 1 {
 		t.Errorf("cluster.steal.stall never fired")
+	}
+}
+
+// TestStragglingPlacementRunsOnce: a placement whose owner stalls for
+// seconds before simulating is waited out, not raced. With the shipped
+// coordinator options the job lands on one worker, the journal records a
+// single placement, the simulation runs exactly once, and the bytes match
+// standalone.
+func TestStragglingPlacementRunsOnce(t *testing.T) {
+	stateDir := t.TempDir()
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{StateDir: stateDir})
+	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	startWorker(t, coordTS.URL, "w2", WorkerOptions{})
+	waitForWorkers(t, coord, 2)
+
+	req, jobID := requestOwnedBy(t, "w1", []string{"w1", "w2"}, 100_000, 0)
+	ref := standaloneResult(t, req)
+	runs0 := sim.Runs()
+
+	// The owner's jobq worker sleeps before running the popped placement.
+	plan := faultinject.MustParse(1, "jobq.worker.stall:times=1:delay=3s")
+	prev := faultinject.Enable(plan)
+	defer faultinject.Enable(prev)
+
+	if _, result := postSimURL(t, coordTS.URL, req); !bytes.Equal(result, ref) {
+		t.Errorf("straggler result differs from standalone:\ncluster    %s\nstandalone %s", result, ref)
+	}
+	if plan.Fired() != 1 {
+		t.Fatalf("jobq.worker.stall fired %d times, want 1", plan.Fired())
+	}
+	if delta := sim.Runs() - runs0; delta != 1 {
+		t.Errorf("straggling placement simulated %d times, want exactly once", delta)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(stateDir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var placed []string
+	for _, line := range bytes.Split(raw, []byte("\n")) {
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) == nil && rec.T == "placed" && rec.Job == jobID {
+			placed = append(placed, rec.Worker)
+		}
+	}
+	if len(placed) != 1 || placed[0] != "w1" {
+		t.Errorf("journal placed %s on %v, want exactly once on w1", jobID, placed)
 	}
 }
 

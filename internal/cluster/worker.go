@@ -158,19 +158,21 @@ func (w *Worker) Close(ctx context.Context) error {
 }
 
 // Kill tears the worker down the way a SIGKILL would, for the chaos
-// orchestrator: no leave call, no graceful drain. The heartbeat loop
-// stops, running jobs' contexts are canceled (a segmented sim dies at its
-// next checkpoint boundary, exactly like a killed process whose snapshot
-// survives on shared disk), and the lease is left to lapse so the
-// coordinator discovers the death on its own.
+// orchestrator: no leave call, no graceful drain. Running jobs' contexts
+// are canceled first, before anything that can block, so their sims stop
+// uncounted (a segmented sim at its next checkpoint boundary, exactly like
+// a killed process whose snapshot survives on shared disk; a plain one
+// within a few thousand cycles). Then the heartbeat loop stops and the
+// lease is left to lapse so the coordinator discovers the death on its
+// own.
 //
 // simlint:rootctx
 func (w *Worker) Kill() {
-	w.rootCancel()
-	w.loopWG.Wait()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = w.queue.Shutdown(ctx)
+	w.rootCancel()
+	w.loopWG.Wait()
 	w.tiered.Close()
 }
 

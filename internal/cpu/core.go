@@ -260,8 +260,22 @@ func New(cfg Config, st *stats.Counters) *Core {
 	return c
 }
 
+// donePollEvery is how many loop iterations RunUntil lets pass between
+// looks at its done channel: a stopped run ends within a fraction of a
+// millisecond, and a run without a done channel never looks.
+const donePollEvery = 1 << 12
+
 // Run executes up to maxOps µops of tr (0 = all) and returns timing.
 func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
+	res, _ := c.RunUntil(nil, tr, mp, maxOps)
+	return res
+}
+
+// RunUntil is Run that gives up once done is closed (nil never closes),
+// reporting finished=false with a partial Result. Watching done only
+// reads the channel, so a run that is not stopped is cycle-identical to
+// Run.
+func (c *Core) RunUntil(done <-chan struct{}, tr *trace.Trace, mp MemPort, maxOps int) (res Result, finished bool) {
 	limit := len(tr.Ops)
 	if maxOps > 0 && maxOps < limit {
 		limit = maxOps
@@ -269,7 +283,19 @@ func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 	ops := tr.Ops[:limit]
 
 	lastProgress := int64(0)
+	polls := 0
 	for c.fetchIdx < len(ops) || c.count > 0 {
+		if done != nil {
+			if polls++; polls == donePollEvery {
+				polls = 0
+				select {
+				case <-done:
+					c.res.Cycles = c.cycle
+					return c.res, false
+				default:
+				}
+			}
+		}
 		c.cycle++
 		mp.Tick(c.cycle)
 		progress := false
@@ -315,7 +341,7 @@ func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 	}
 	c.res.Cycles = c.cycle
 	c.st.Cycles = c.cycle
-	return c.res
+	return c.res, true
 }
 
 // complete drains the completion heap for the current cycle, waking

@@ -58,17 +58,24 @@ func (r *Result) String() string {
 		r.Counters.MPTUFor(r.MeasuredUops))
 }
 
-// RunContext is Run with cooperative cancellation at simulation granularity:
-// it checks ctx once before starting and refuses to run when it is already
-// cancelled. The inner event loop is deliberately not interrupted — a
-// simulation that starts always finishes, which keeps every result
-// byte-identical to Run and makes the cancellation boundary the natural
-// unit callers (experiment sweeps, the cdpd job queue) reason about.
+// RunContext is Run that stops when ctx is cancelled, before or during the
+// simulation, and then returns ctx's error. A stopped run yields no result
+// and is not counted by Runs; a run that finishes is byte-identical to Run,
+// because watching ctx never touches the simulated machine.
 func RunContext(ctx context.Context, ck *trace.Checkpoint, cfg Config) (*Result, error) {
+	return RunTracedContext(ctx, ck, cfg, nil)
+}
+
+// RunTracedContext is RunContext with an event tracer attached (nil is
+// exactly RunContext).
+func RunTracedContext(ctx context.Context, ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return Run(ck, cfg), nil
+	if res := runUntil(ctx.Done(), ck, cfg, tr); res != nil {
+		return res, nil
+	}
+	return nil, ctx.Err()
 }
 
 // Run simulates one checkpoint on one machine configuration.
@@ -80,6 +87,11 @@ func Run(ck *trace.Checkpoint, cfg Config) *Result {
 // Tracing observes the simulation without perturbing it: the result is
 // byte-identical whether or not a tracer is attached.
 func RunTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *Result {
+	return runUntil(nil, ck, cfg, tr)
+}
+
+// runUntil simulates ck, giving up with a nil result once done is closed.
+func runUntil(done <-chan struct{}, ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -105,7 +117,10 @@ func RunTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *Result {
 			}
 		}
 	}
-	coreRes := c.Run(ck.Trace, ms, cfg.MaxOps)
+	coreRes, finished := c.RunUntil(done, ck.Trace, ms, cfg.MaxOps)
+	if !finished {
+		return nil
+	}
 	st.Cycles = coreRes.Cycles
 	st.WarmCycles = warmCycle
 
