@@ -10,6 +10,14 @@
 // request depths over deeper ones — and implement its overflow rules: a
 // full arbiter drops incoming prefetches, and an incoming demand request
 // squashes the lowest-priority queued prefetch rather than stalling.
+//
+// An arbiter is a binary heap ordered by Request.Better, which is a total
+// order (request IDs are unique), so the grant order is exactly that of a
+// linear scan for the best request. Each queued request records its heap
+// position, so a caller that changes a queued request's priority — the
+// memory system promoting a prefetch a demand access caught in flight —
+// restores the order with Fix. The squash victim, the worst queued request,
+// is always a heap leaf, so a squash scans only the bottom half.
 package bus
 
 import "fmt"
@@ -95,6 +103,11 @@ type Request struct {
 	// DemandWaited marks that some demand access attached to this
 	// request while it was in flight (partial timeliness accounting).
 	DemandWaited bool
+
+	// index is the request's position in the heap of the arbiter queueing
+	// it. It is meaningful only while that arbiter's q[index] is this
+	// request; a request sits in at most one arbiter at a time.
+	index int
 }
 
 // Better reports whether r should be granted before o: lower class rank
@@ -109,7 +122,8 @@ func (r *Request) Better(o *Request) bool {
 	return r.ID < o.ID
 }
 
-// Arbiter is a bounded priority queue of requests.
+// Arbiter is a bounded priority queue of requests: a binary heap whose
+// root is the request to grant next.
 type Arbiter struct {
 	name string
 	cap  int
@@ -137,10 +151,7 @@ func (a *Arbiter) Enqueue(r *Request) bool {
 	if a.Full() {
 		return false
 	}
-	a.q = append(a.q, r)
-	if debugInvariants {
-		a.checkBounds()
-	}
+	a.push(r)
 	return true
 }
 
@@ -151,26 +162,24 @@ func (a *Arbiter) Enqueue(r *Request) bool {
 // which the caller treats as back-pressure (ok = false).
 func (a *Arbiter) EnqueueDemand(r *Request) (squashed *Request, ok bool) {
 	if !a.Full() {
-		a.q = append(a.q, r)
-		if debugInvariants {
-			a.checkBounds()
-		}
+		a.push(r)
 		return nil, true
 	}
-	worst := -1
-	for i, q := range a.q {
-		if !q.Class.IsPrefetch() {
-			continue
-		}
-		if worst == -1 || a.q[worst].Better(q) {
+	// Every prefetch ranks below every demand, so the lowest-priority
+	// prefetch, if any is queued, is the worst request of all: a leaf.
+	worst := len(a.q) / 2
+	for i := worst + 1; i < len(a.q); i++ {
+		if a.q[worst].Better(a.q[i]) {
 			worst = i
 		}
 	}
-	if worst == -1 {
+	squashed = a.q[worst]
+	if !squashed.Class.IsPrefetch() {
 		return nil, false // all demands: stall
 	}
-	squashed = a.q[worst]
 	a.q[worst] = r
+	r.index = worst
+	a.fix(worst)
 	if debugInvariants {
 		a.checkBounds()
 	}
@@ -180,25 +189,33 @@ func (a *Arbiter) EnqueueDemand(r *Request) (squashed *Request, ok bool) {
 // PopBest removes and returns the highest-priority request, or nil when
 // empty.
 func (a *Arbiter) PopBest() *Request {
-	if len(a.q) == 0 {
+	n := len(a.q) - 1
+	if n < 0 {
 		return nil
 	}
-	best := 0
-	for i := 1; i < len(a.q); i++ {
-		if a.q[i].Better(a.q[best]) {
-			best = i
-		}
-	}
-	r := a.q[best]
-	a.q[best] = a.q[len(a.q)-1]
-	a.q = a.q[:len(a.q)-1]
+	r := a.q[0]
+	a.swap(0, n)
+	a.q[n] = nil
+	a.q = a.q[:n]
+	a.down(0)
 	if debugInvariants {
 		a.checkBounds()
 	}
 	return r
 }
 
-// Requests returns the queued requests in insertion order. The slice is the
+// Fix restores the grant order after the priority of r (its class or
+// depth) changed. It is a no-op when r is not queued in this arbiter.
+func (a *Arbiter) Fix(r *Request) {
+	if r.index < len(a.q) && a.q[r.index] == r {
+		a.fix(r.index)
+		if debugInvariants {
+			a.checkBounds()
+		}
+	}
+}
+
+// Requests returns the queued requests in heap order. The slice is the
 // arbiter's own backing store — callers (the simdebug invariant layer) must
 // treat it as read-only.
 func (a *Arbiter) Requests() []*Request { return a.q }
@@ -211,6 +228,58 @@ func (a *Arbiter) Find(paBase uint32) *Request {
 		}
 	}
 	return nil
+}
+
+func (a *Arbiter) push(r *Request) {
+	r.index = len(a.q)
+	a.q = append(a.q, r)
+	a.up(r.index)
+	if debugInvariants {
+		a.checkBounds()
+	}
+}
+
+func (a *Arbiter) swap(i, j int) {
+	a.q[i], a.q[j] = a.q[j], a.q[i]
+	a.q[i].index = i
+	a.q[j].index = j
+}
+
+func (a *Arbiter) fix(i int) {
+	if !a.down(i) {
+		a.up(i)
+	}
+}
+
+func (a *Arbiter) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !a.q[i].Better(a.q[parent]) {
+			return
+		}
+		a.swap(i, parent)
+		i = parent
+	}
+}
+
+// down sifts q[i] toward the leaves and reports whether it moved.
+func (a *Arbiter) down(i int) bool {
+	start, n := i, len(a.q)
+	for {
+		best := 2*i + 1
+		if best >= n {
+			break
+		}
+		if r := best + 1; r < n && a.q[r].Better(a.q[best]) {
+			best = r
+		}
+		if !a.q[best].Better(a.q[i]) {
+			break
+		}
+		a.swap(i, best)
+		i = best
+	}
+	return i > start
 }
 
 func (a *Arbiter) String() string {

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -158,5 +159,118 @@ func TestArbiterDrainQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// linearArbiter is the reference model for the heap arbiter: the same
+// drop, squash and grant rules as plain scans over an insertion-ordered
+// slice.
+type linearArbiter struct {
+	cap int
+	q   []*Request
+}
+
+func (l *linearArbiter) enqueue(r *Request) bool {
+	if len(l.q) >= l.cap {
+		return false
+	}
+	l.q = append(l.q, r)
+	return true
+}
+
+func (l *linearArbiter) enqueueDemand(r *Request) (*Request, bool) {
+	if len(l.q) < l.cap {
+		l.q = append(l.q, r)
+		return nil, true
+	}
+	worst := -1
+	for i, q := range l.q {
+		if q.Class.IsPrefetch() && (worst == -1 || l.q[worst].Better(q)) {
+			worst = i
+		}
+	}
+	if worst == -1 {
+		return nil, false
+	}
+	squashed := l.q[worst]
+	l.q[worst] = r
+	return squashed, true
+}
+
+func (l *linearArbiter) popBest() *Request {
+	if len(l.q) == 0 {
+		return nil
+	}
+	best := 0
+	for i := range l.q {
+		if l.q[i].Better(l.q[best]) {
+			best = i
+		}
+	}
+	r := l.q[best]
+	l.q = append(l.q[:best], l.q[best+1:]...)
+	return r
+}
+
+// Property: two heap arbiters driven like the memory system's L2 and bus
+// queues — prefetch enqueues, demand enqueues that squash when full,
+// in-place promotion of a queued prefetch followed by Fix on both arbiters,
+// moves from the first queue to the second, and grants — pop and squash
+// exactly the requests the linear-scan reference pops and squashes.
+func TestArbiterMatchesLinearScanModel(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		heaps := [2]*Arbiter{NewArbiter("l2", 1+rng.Intn(12)), NewArbiter("bus", 1+rng.Intn(6))}
+		refs := [2]*linearArbiter{{cap: heaps[0].cap}, {cap: heaps[1].cap}}
+		var id uint64
+		for step := 0; step < 2000; step++ {
+			k := rng.Intn(2)
+			h, ref := heaps[k], refs[k]
+			id++
+			switch op := rng.Intn(6); op {
+			case 0, 1: // prefetch enqueue
+				r := req(id, Class(1+rng.Intn(3)), rng.Intn(5))
+				if got, want := h.Enqueue(r), ref.enqueue(r); got != want {
+					t.Fatalf("seed %d step %d: Enqueue = %v, reference %v", seed, step, got, want)
+				}
+			case 2: // demand enqueue, squashing when full
+				r := req(id, ClassDemand, 0)
+				gotSq, gotOK := h.EnqueueDemand(r)
+				wantSq, wantOK := ref.enqueueDemand(r)
+				if gotSq != wantSq || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: EnqueueDemand = (%v, %v), reference (%v, %v)",
+						seed, step, gotSq, gotOK, wantSq, wantOK)
+				}
+			case 3: // a demand catches a queued prefetch: promote and Fix
+				if len(ref.q) == 0 {
+					continue
+				}
+				r := ref.q[rng.Intn(len(ref.q))]
+				r.Class, r.Depth = ClassDemand, 0
+				heaps[0].Fix(r)
+				heaps[1].Fix(r)
+			case 4: // pump: move the best L2 request to the bus queue
+				if len(refs[1].q) >= refs[1].cap {
+					continue
+				}
+				got, want := heaps[0].PopBest(), refs[0].popBest()
+				if got != want {
+					t.Fatalf("seed %d step %d: move popped %v, reference %v", seed, step, got, want)
+				}
+				if got == nil {
+					continue
+				}
+				if !heaps[1].Enqueue(got) || !refs[1].enqueue(want) {
+					t.Fatalf("seed %d step %d: bus queue rejected a move below capacity", seed, step)
+				}
+			case 5: // grant
+				if got, want := h.PopBest(), ref.popBest(); got != want {
+					t.Fatalf("seed %d step %d: PopBest = %v, reference %v", seed, step, got, want)
+				}
+			}
+			if h.Len() != len(ref.q) {
+				t.Fatalf("seed %d step %d: Len = %d, reference %d", seed, step, h.Len(), len(ref.q))
+			}
+		}
 	}
 }

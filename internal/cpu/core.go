@@ -107,13 +107,22 @@ const (
 	esDone
 )
 
+// robEntry is one reorder-buffer slot. It holds no pointers, so fetch can
+// reset it without write barriers.
+//
+// Wakeup lists are intrusive: a node is consumerSlot*2 + source index, so a
+// consumer that reads the same producer through both sources sits on that
+// producer's list twice, once per pending source. depHead starts the list of
+// nodes waiting on this entry's result; depNext[i] links this entry's own
+// source-i node into its producer's list. -1 ends a list.
 type robEntry struct {
 	op          trace.Op
 	seq         uint64
 	state       entryState
-	pendingSrcs int
-	dependents  []int32
 	mispredict  bool
+	pendingSrcs int32
+	depHead     int32
+	depNext     [2]int32
 }
 
 type writerRef struct {
@@ -199,6 +208,18 @@ type Core struct {
 	readyQ     []int32
 	completed  completionHeap
 
+	// lane is the fast lane beside completed: completions due at laneAt,
+	// which is always the cycle after the one that filled the lane. Most
+	// completions are single-cycle ALU results, and an append here is far
+	// cheaper than a heap push and pop. A completion due next cycle goes to
+	// the heap instead when the lane still holds an earlier cycle's
+	// completions (a fill fired inside Tick(X) completes at X+1 before the
+	// lane's X entries have drained). Every completion of a cycle drains
+	// before anything else happens in it, so which structure held one
+	// cannot be observed.
+	lane   []completion
+	laneAt int64
+
 	// loadDone and storeDone are memory-port completion callbacks built
 	// once at construction. A per-load closure literal would escape (the
 	// memory system stores it on miss) and cost one allocation per load;
@@ -217,6 +238,10 @@ type Core struct {
 
 	cycle int64
 	res   Result
+
+	// lastProgress is the last cycle in which the pipeline moved; the
+	// stall watchdog in drive measures from it.
+	lastProgress int64
 
 	// OnRetire, if set, is called after each retired µop with the
 	// running retired count and current cycle (warm-up detection). The
@@ -249,6 +274,9 @@ func New(cfg Config, st *stats.Counters) *Core {
 		st:  st,
 		rob: make([]robEntry, cfg.ROBSize),
 	}
+	for i := range c.rob {
+		c.rob[i].depHead = -1
+	}
 	c.loadDone = make([]func(at int64), cfg.ROBSize)
 	for i := range c.loadDone {
 		slot := int32(i)
@@ -276,104 +304,142 @@ func (c *Core) Run(tr *trace.Trace, mp MemPort, maxOps int) Result {
 // reads the channel, so a run that is not stopped is cycle-identical to
 // Run.
 func (c *Core) RunUntil(done <-chan struct{}, tr *trace.Trace, mp MemPort, maxOps int) (res Result, finished bool) {
-	limit := len(tr.Ops)
-	if maxOps > 0 && maxOps < limit {
-		limit = maxOps
+	finished = c.drive(done, limitOps(tr, maxOps), mp, nil)
+	c.res.Cycles = c.cycle
+	if finished {
+		c.st.Cycles = c.cycle
 	}
-	ops := tr.Ops[:limit]
+	return c.res, finished
+}
 
-	lastProgress := int64(0)
+// limitOps returns the first maxOps µops of tr (0 = all).
+func limitOps(tr *trace.Trace, maxOps int) []trace.Op {
+	if maxOps > 0 && maxOps < len(tr.Ops) {
+		return tr.Ops[:maxOps]
+	}
+	return tr.Ops
+}
+
+// drive steps the machine until every op is fetched and retired, and, when
+// quiesced is non-nil, until stores have drained and quiesced reports the
+// memory system empty too. It reports false if done closed first.
+func (c *Core) drive(done <-chan struct{}, ops []trace.Op, mp MemPort, quiesced func() bool) bool {
+	c.lastProgress = c.cycle
 	polls := 0
-	for c.fetchIdx < len(ops) || c.count > 0 {
+	for c.fetchIdx < len(ops) || c.count > 0 ||
+		quiesced != nil && (c.outstandingStores > 0 || !quiesced()) {
 		if done != nil {
 			if polls++; polls == donePollEvery {
 				polls = 0
 				select {
 				case <-done:
-					c.res.Cycles = c.cycle
-					return c.res, false
+					return false
 				default:
 				}
 			}
 		}
-		c.cycle++
-		mp.Tick(c.cycle)
-		progress := false
-		if c.complete() {
-			progress = true
-		}
-		if c.retire(mp) {
-			progress = true
-		}
-		if c.issue(mp) {
-			progress = true
-		}
-		if c.fetch(ops) {
-			progress = true
-		}
-		if progress {
-			lastProgress = c.cycle
-			continue
-		}
-		// Idle cycle: skip ahead to the next interesting time.
-		next := int64(-1)
-		consider := func(t int64) {
-			if t > c.cycle && (next == -1 || t < next) {
-				next = t
-			}
-		}
-		if len(c.completed) > 0 {
-			consider(c.completed.peekAt())
-		}
-		if !c.haltFetch && c.fetchBlockedUntil > c.cycle {
-			consider(c.fetchBlockedUntil)
-		}
-		if t := mp.NextEvent(); t >= 0 {
-			consider(t)
-		}
-		if next > c.cycle+1 {
-			c.cycle = next - 1
-		}
-		if c.cycle-lastProgress > 5_000_000 {
-			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, readyQ %d, loads %d, stores %d, fetch %d/%d)",
-				lastProgress, c.count, len(c.readyQ), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops)))
-		}
+		c.step(ops, mp)
 	}
-	c.res.Cycles = c.cycle
-	c.st.Cycles = c.cycle
-	return c.res, true
+	return true
 }
 
-// complete drains the completion heap for the current cycle, waking
-// dependents.
+// step simulates one cycle. A cycle in which nothing moved is followed by
+// a jump to the cycle before the next one at which anything can happen:
+// a completion, the end of a fetch redirect, or a memory event.
+func (c *Core) step(ops []trace.Op, mp MemPort) {
+	storesBefore := c.outstandingStores
+	c.cycle++
+	mp.Tick(c.cycle)
+	progress := c.outstandingStores != storesBefore
+	if c.complete() {
+		progress = true
+	}
+	if c.retire(mp) {
+		progress = true
+	}
+	if c.issue(mp) {
+		progress = true
+	}
+	if c.fetch(ops) {
+		progress = true
+	}
+	if progress {
+		c.lastProgress = c.cycle
+		return
+	}
+	next := int64(-1)
+	consider := func(t int64) {
+		if t > c.cycle && (next == -1 || t < next) {
+			next = t
+		}
+	}
+	if len(c.lane) > 0 {
+		consider(c.laneAt)
+	}
+	if len(c.completed) > 0 {
+		consider(c.completed.peekAt())
+	}
+	if !c.haltFetch && c.fetchBlockedUntil > c.cycle {
+		consider(c.fetchBlockedUntil)
+	}
+	if t := mp.NextEvent(); t >= 0 {
+		consider(t)
+	}
+	if next > c.cycle+1 {
+		c.cycle = next - 1
+	}
+	if c.cycle-c.lastProgress > 5_000_000 {
+		panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, readyQ %d, loads %d, stores %d, fetch %d/%d)",
+			c.lastProgress, c.count, len(c.readyQ), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops)))
+	}
+}
+
+// complete drains every completion due by the current cycle, fast lane
+// first, waking dependents.
 func (c *Core) complete() bool {
 	any := false
-	for len(c.completed) > 0 && c.completed.peekAt() <= c.cycle {
-		comp := c.completed.pop()
-		e := &c.rob[comp.slot]
-		if e.seq != comp.seq || e.state != esIssued {
-			continue // stale (should not happen, but be safe)
-		}
-		e.state = esDone
-		any = true
-		if e.op.Kind == trace.KLoad {
-			c.outstandingLoads--
-		}
-		if e.op.Kind == trace.KBranch && e.mispredict {
-			c.haltFetch = false
-			c.fetchBlockedUntil = c.cycle + c.cfg.MispredictPenalty
-		}
-		for _, dep := range e.dependents {
-			d := &c.rob[dep]
-			d.pendingSrcs--
-			if d.pendingSrcs == 0 && d.state == esWaiting {
-				d.state = esReady
-				c.readyQ = append(c.readyQ, dep)
+	if len(c.lane) > 0 && c.laneAt <= c.cycle {
+		for _, comp := range c.lane {
+			if c.finish(comp) {
+				any = true
 			}
 		}
-		e.dependents = e.dependents[:0]
+		c.lane = c.lane[:0]
+	}
+	for len(c.completed) > 0 && c.completed.peekAt() <= c.cycle {
+		if c.finish(c.completed.pop()) {
+			any = true
+		}
 	}
 	return any
+}
+
+// finish completes one issued µop and wakes the µops waiting on it.
+func (c *Core) finish(comp completion) bool {
+	e := &c.rob[comp.slot]
+	if e.seq != comp.seq || e.state != esIssued {
+		return false // stale (should not happen, but be safe)
+	}
+	e.state = esDone
+	if e.op.Kind == trace.KLoad {
+		c.outstandingLoads--
+	}
+	if e.op.Kind == trace.KBranch && e.mispredict {
+		c.haltFetch = false
+		c.fetchBlockedUntil = c.cycle + c.cfg.MispredictPenalty
+	}
+	for node := e.depHead; node >= 0; {
+		dep := node >> 1
+		d := &c.rob[dep]
+		node = d.depNext[node&1]
+		d.pendingSrcs--
+		if d.pendingSrcs == 0 && d.state == esWaiting {
+			d.state = esReady
+			c.readyQ = append(c.readyQ, dep)
+		}
+	}
+	e.depHead = -1
+	return true
 }
 
 // markComplete schedules completion of an issued entry at cycle at.
@@ -381,7 +447,13 @@ func (c *Core) markComplete(slot int32, seq uint64, at int64) {
 	if at <= c.cycle {
 		at = c.cycle + 1
 	}
-	c.completed.push(completion{at: at, slot: slot, seq: seq})
+	comp := completion{at: at, slot: slot, seq: seq}
+	if at == c.cycle+1 && (len(c.lane) == 0 || c.laneAt == at) {
+		c.laneAt = at
+		c.lane = append(c.lane, comp)
+		return
+	}
+	c.completed.push(comp)
 }
 
 // retire commits completed µops in order. Retirement accounting is batched:
@@ -406,7 +478,9 @@ func (c *Core) retire(mp MemPort) bool {
 			mp.Store(c.cycle, e.op.Addr, e.op.PC, c.storeDone)
 		}
 		e.state = esEmpty
-		c.head = (c.head + 1) % int32(c.cfg.ROBSize)
+		if c.head++; int(c.head) == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 		c.res.Retired++
 		retired++
@@ -427,7 +501,7 @@ func (c *Core) issue(mp MemPort) bool {
 	intLeft, memLeft, fpLeft := c.cfg.IntUnits, c.cfg.MemUnits, c.cfg.FPUnits
 	any := false
 	for issued := 0; issued < c.cfg.IssueWidth; issued++ {
-		best := -1
+		best, bestSeq := -1, uint64(0)
 		for qi, slot := range c.readyQ {
 			e := &c.rob[slot]
 			ok := false
@@ -444,8 +518,8 @@ func (c *Core) issue(mp MemPort) bool {
 			if !ok {
 				continue
 			}
-			if best == -1 || e.seq < c.rob[c.readyQ[best]].seq {
-				best = qi
+			if best == -1 || e.seq < bestSeq {
+				best, bestSeq = qi, e.seq
 			}
 		}
 		if best == -1 {
@@ -509,13 +583,19 @@ func (c *Core) fetch(ops []trace.Op) bool {
 		}
 		op := ops[c.fetchIdx]
 		c.fetchIdx++
-		slot := (c.head + int32(c.count)) % int32(c.cfg.ROBSize)
+		slot := c.head + int32(c.count)
+		if int(slot) >= len(c.rob) {
+			slot -= int32(len(c.rob))
+		}
 		c.count++
 		c.nextSeq++
 		e := &c.rob[slot]
-		*e = robEntry{op: op, seq: c.nextSeq, dependents: e.dependents[:0]}
+		e.op = op
+		e.seq = c.nextSeq
+		e.mispredict = false
+		e.pendingSrcs = 0
 
-		for _, src := range [2]uint8{op.Src1, op.Src2} {
+		for i, src := range [2]uint8{op.Src1, op.Src2} {
 			if src == trace.NoReg || src >= trace.NumRegs {
 				continue
 			}
@@ -527,7 +607,8 @@ func (c *Core) fetch(ops []trace.Op) bool {
 			if p.seq != lw.seq || p.state == esDone || p.state == esEmpty {
 				continue
 			}
-			p.dependents = append(p.dependents, slot)
+			e.depNext[i] = p.depHead
+			p.depHead = slot<<1 | int32(i)
 			e.pendingSrcs++
 		}
 		if op.Dst != trace.NoReg && op.Dst < trace.NumRegs {

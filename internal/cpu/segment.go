@@ -35,11 +35,7 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 	if plan.Every <= 0 || plan.Quiesced == nil || plan.OnBoundary == nil {
 		return Result{}, fmt.Errorf("cpu: segment plan needs Every > 0, Quiesced and OnBoundary")
 	}
-	limit := len(tr.Ops)
-	if maxOps > 0 && maxOps < limit {
-		limit = maxOps
-	}
-	ops := tr.Ops[:limit]
+	ops := limitOps(tr, maxOps)
 
 	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 {
 		// This segment's fetch ceiling: the next absolute multiple of
@@ -49,7 +45,9 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 		if fetchLimit > len(ops) {
 			fetchLimit = len(ops)
 		}
-		c.runSegment(ops[:fetchLimit], mp, plan.Quiesced)
+		// Drain the segment: every op below the ceiling fetched and
+		// retired, stores drained, and the memory system quiesced.
+		c.drive(nil, ops[:fetchLimit], mp, plan.Quiesced)
 		// Quiesce point: the pipeline is empty, so every lastWriter
 		// reference is stale and ignored by the seq checks. Clearing
 		// them keeps a restored core bit-identical to this one instead
@@ -68,57 +66,6 @@ func (c *Core) RunSegmented(tr *trace.Trace, mp MemPort, maxOps int, plan Segmen
 	return c.res, nil
 }
 
-// runSegment advances the machine until the current segment is fully
-// drained: every op below the fetch ceiling fetched and retired, stores
-// drained, and the memory system quiesced.
-func (c *Core) runSegment(ops []trace.Op, mp MemPort, quiesced func() bool) {
-	lastProgress := c.cycle
-	for c.fetchIdx < len(ops) || c.count > 0 || c.outstandingStores > 0 || !quiesced() {
-		storesBefore := c.outstandingStores
-		c.cycle++
-		mp.Tick(c.cycle)
-		progress := c.outstandingStores != storesBefore
-		if c.complete() {
-			progress = true
-		}
-		if c.retire(mp) {
-			progress = true
-		}
-		if c.issue(mp) {
-			progress = true
-		}
-		if c.fetch(ops) {
-			progress = true
-		}
-		if progress {
-			lastProgress = c.cycle
-			continue
-		}
-		next := int64(-1)
-		consider := func(t int64) {
-			if t > c.cycle && (next == -1 || t < next) {
-				next = t
-			}
-		}
-		if len(c.completed) > 0 {
-			consider(c.completed.peekAt())
-		}
-		if !c.haltFetch && c.fetchBlockedUntil > c.cycle {
-			consider(c.fetchBlockedUntil)
-		}
-		if t := mp.NextEvent(); t >= 0 {
-			consider(t)
-		}
-		if next > c.cycle+1 {
-			c.cycle = next - 1
-		}
-		if c.cycle-lastProgress > 5_000_000 {
-			panic(fmt.Sprintf("cpu: no progress since cycle %d (rob %d, readyQ %d, loads %d, stores %d, fetch %d/%d, quiesced %v)",
-				lastProgress, c.count, len(c.readyQ), c.outstandingLoads, c.outstandingStores, c.fetchIdx, len(ops), quiesced()))
-		}
-	}
-}
-
 // CoreState is the checkpointable state of a quiesced core. In-flight
 // structures (ROB, ready queue, completion heap, writer map) are absent by
 // construction: State refuses to capture a core that is not drained.
@@ -133,10 +80,10 @@ type CoreState struct {
 
 // State snapshots a quiesced core; it fails if anything is in flight.
 func (c *Core) State() (CoreState, error) {
-	if c.count != 0 || len(c.readyQ) != 0 || len(c.completed) != 0 ||
+	if c.count != 0 || len(c.readyQ) != 0 || len(c.completed)+len(c.lane) != 0 ||
 		c.outstandingLoads != 0 || c.outstandingStores != 0 {
 		return CoreState{}, fmt.Errorf("cpu: core not quiesced (rob %d, ready %d, completions %d, loads %d, stores %d)",
-			c.count, len(c.readyQ), len(c.completed), c.outstandingLoads, c.outstandingStores)
+			c.count, len(c.readyQ), len(c.completed)+len(c.lane), c.outstandingLoads, c.outstandingStores)
 	}
 	return CoreState{
 		Cycle:             c.cycle,
@@ -152,7 +99,7 @@ func (c *Core) State() (CoreState, error) {
 // built) core. haltFetch is necessarily false at a boundary — a halting
 // branch clears it when it completes, and completion precedes the drain.
 func (c *Core) Restore(st CoreState) error {
-	if c.count != 0 || len(c.readyQ) != 0 || len(c.completed) != 0 ||
+	if c.count != 0 || len(c.readyQ) != 0 || len(c.completed)+len(c.lane) != 0 ||
 		c.outstandingLoads != 0 || c.outstandingStores != 0 {
 		return fmt.Errorf("cpu: cannot restore into a core with work in flight")
 	}

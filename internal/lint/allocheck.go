@@ -151,7 +151,7 @@ func ReadAllocBaseline(path string) (*AllocBaseline, error) {
 
 // WriteAllocBaseline persists the current escapes as the new baseline.
 func WriteAllocBaseline(path string, escapes []Escape) error {
-	es := append([]Escape(nil), escapes...)
+	es := append([]Escape{}, escapes...) // an empty baseline is [], not null
 	sortEscapes(es)
 	data, err := json.MarshalIndent(&AllocBaseline{Version: baselineVersion, Escapes: es}, "", "  ")
 	if err != nil {

@@ -32,7 +32,7 @@ import (
 // events, no in-flight transactions, empty arbiters. cpu.RunSegmented polls
 // it while draining a segment.
 func (ms *MemSystem) Quiesced() bool {
-	return ms.sched.next() < 0 && len(ms.inflight) == 0 &&
+	return ms.sched.next() < 0 && ms.inflight.len() == 0 &&
 		ms.l2q.Len() == 0 && ms.busq.Len() == 0 && ms.nextPumpAt == 0
 }
 
@@ -68,7 +68,7 @@ type MemState struct {
 func (ms *MemSystem) state() (MemState, error) {
 	if !ms.Quiesced() {
 		return MemState{}, fmt.Errorf("sim: memory system not quiesced (next event %d, inflight %d, l2q %d, busq %d)",
-			ms.sched.next(), len(ms.inflight), ms.l2q.Len(), ms.busq.Len())
+			ms.sched.next(), ms.inflight.len(), ms.l2q.Len(), ms.busq.Len())
 	}
 	st := MemState{
 		Now: ms.now, ReqID: ms.reqID, ChainSeq: ms.chainSeq, L2PortFree: ms.l2PortFree,

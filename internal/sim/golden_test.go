@@ -13,16 +13,17 @@ import (
 	"repro/internal/workloads"
 )
 
-// updateEngineGoldens regenerates the per-engine golden counter files:
+// updateEngineGoldens regenerates the per-engine and per-core-geometry
+// golden counter files:
 //
-//	go test ./internal/sim -run TestEngineGoldenCounters -update-engines
+//	go test ./internal/sim -run 'Test(Engine|CoreGeometry)GoldenCounters' -update-engines
 //
 // The stride/cdp/markov files were captured BEFORE the Prefetcher-interface
 // refactor; they are the proof that routing those engines through the
 // interface changed nothing. Regenerate only for a deliberate model change,
 // never to absorb drift from a refactor.
 var updateEngineGoldens = flag.Bool("update-engines", false,
-	"rewrite testdata/golden/engines/<name>.txt files")
+	"rewrite testdata/golden/{engines,core}/<name>.txt files")
 
 // goldenOps pins the trace budget the engine goldens were generated with.
 const goldenOps = 120_000
@@ -68,6 +69,28 @@ func engineGoldenPath(name string) string {
 	return filepath.Join("testdata", "golden", "engines", name+".txt")
 }
 
+// checkGolden compares got against the golden file at path, or rewrites
+// the file under -update-engines.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *updateEngineGoldens {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with -update-engines): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("counters drifted from %s:\n%s", path, diffHead(string(want), got))
+	}
+}
+
 // TestEngineGoldenCounters runs one small benchmark per engine
 // configuration and compares the rendered counter block byte-for-byte
 // against the checked-in golden. stride/cdp/markov goldens predate the
@@ -81,24 +104,57 @@ func TestEngineGoldenCounters(t *testing.T) {
 	ck := workloads.Checkpoint(spec, goldenOps)
 	for name, cfg := range engineGoldenConfigs() {
 		t.Run(name, func(t *testing.T) {
-			got := renderEngineGolden(spec.Name, Run(ck, cfg))
-			path := engineGoldenPath(name)
-			if *updateEngineGoldens {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
+			checkGolden(t, engineGoldenPath(name), renderEngineGolden(spec.Name, Run(ck, cfg)))
+		})
+	}
+}
+
+// coreGeometryConfigs are core geometries the default machine does not
+// exercise: a ROB whose size is not a power of two, a wider issue stage,
+// a multi-cycle integer latency and a single-cycle FP latency. Each runs
+// with the content prefetcher on, so walks, squashes and promotions all
+// feed the core's completion path.
+func coreGeometryConfigs() map[string]Config {
+	base := goldenBase().WithContent(core.DefaultConfig)
+	geoms := map[string]Config{}
+	for name, edit := range map[string]func(c *Config){
+		"rob96":  func(c *Config) { c.Core.ROBSize = 96 },
+		"issue4": func(c *Config) { c.Core.IssueWidth = 4 },
+		"int2":   func(c *Config) { c.Core.IntLatency = 2 },
+		"fp1":    func(c *Config) { c.Core.FPLatency = 1 },
+	} {
+		cfg := base
+		edit(&cfg)
+		cfg.Name += "-" + name
+		geoms[name] = cfg
+	}
+	return geoms
+}
+
+// TestCoreGeometryGoldenCounters pins the counters of each core geometry
+// under both entry points, Run and the checkpoint-segmented
+// RunCheckpointed, so a change to the core's cycle loop must leave every
+// simulated cycle where it was.
+func TestCoreGeometryGoldenCounters(t *testing.T) {
+	// speech mixes tree-search pointer chasing with FP kernels, so every
+	// functional-unit class and latency is on the critical path somewhere.
+	spec, err := workloads.ByName("speech")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := workloads.Checkpoint(spec, goldenOps)
+	for name, cfg := range coreGeometryConfigs() {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join("testdata", "golden", "core", name)
+			checkGolden(t, path+"-run.txt", renderEngineGolden(spec.Name, Run(ck, cfg)))
+
+			seg := cfg
+			seg.CheckpointEveryOps = goldenOps / 4
+			res, err := RunCheckpointed(ck, seg, nil)
 			if err != nil {
-				t.Fatalf("missing golden (regenerate with -update-engines): %v", err)
+				t.Fatal(err)
 			}
-			if got != string(want) {
-				t.Errorf("engine %s counters drifted from %s:\n%s", name, path, diffHead(string(want), got))
-			}
+			checkGolden(t, path+"-segmented.txt", renderEngineGolden(spec.Name, res))
 		})
 	}
 }

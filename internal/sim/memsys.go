@@ -51,13 +51,13 @@ type MemSystem struct {
 	// nothing.
 	engBuf []uint32
 
-	inflight map[uint32]*bus.Request // by physical line base
+	inflight inflightTable // by physical line base
 	sched    scheduler
 	reqID    uint64
 	now      int64
 
 	// reqFree recycles bus.Request objects. A request is referenced only
-	// by the two arbiters, the inflight map, and its scheduled fill event,
+	// by the two arbiters, the inflight table, and its scheduled fill event,
 	// so it can be recycled the moment its fill completes (or it is
 	// squashed) without aliasing a live transaction. The freelist keeps
 	// the per-request allocation off the miss path entirely.
@@ -65,7 +65,7 @@ type MemSystem struct {
 
 	// flying counts granted but not-yet-arrived non-injected transfers.
 	// Maintained only under -tags simdebug (debugInvariants), where
-	// checkInvariants reconciles it against the inflight map.
+	// checkInvariants reconciles it against the inflight table.
 	flying int
 
 	l2PortFree int64
@@ -76,6 +76,11 @@ type MemSystem struct {
 	injLCG     uint32
 	lastInject int64
 	nextPumpAt int64 // earliest scheduled pump event (0 = none)
+
+	// walkFree recycles page-walk state (see walk.go), so a TLB miss
+	// allocates nothing once the pool has grown to the number of walks
+	// ever in flight at once.
+	walkFree []*pageWalk
 
 	// lineBuf is the scratch buffer the content scanner reads fills
 	// through; the scanner only inspects the bytes, so one buffer per
@@ -123,7 +128,7 @@ func NewMemSystem(cfg *Config, space *mem.AddressSpace, st *stats.Counters, mptu
 		fsb:          bus.NewBus(cfg.BusLatency, cfg.BusOccupancy),
 		l2q:          bus.NewArbiter("l2", cfg.L2QueueSize),
 		busq:         bus.NewArbiter("bus", cfg.BusQueueSize),
-		inflight:     make(map[uint32]*bus.Request),
+		inflight:     newInflightTable(cfg.L2QueueSize + cfg.BusQueueSize),
 		strideRecent: make(map[uint32]bool),
 		injLCG:       0x2545_F491,
 		lastInject:   -1,
@@ -177,7 +182,7 @@ func (ms *MemSystem) newRequest() *bus.Request {
 
 // releaseRequest returns a dead request to the freelist. Callers must hold
 // the only remaining reference: fillArrive (the request has left the
-// queues, the inflight map, and the event heap) and the squash path (the
+// queues, the inflight table, and the event heap) and the squash path (the
 // arbiter removed it, and an unsquashable promoted request never reaches
 // here because promotion makes it demand-class).
 func (ms *MemSystem) releaseRequest(req *bus.Request) {
@@ -201,7 +206,9 @@ func (ms *MemSystem) Tick(cycle int64) {
 	if cycle > ms.now {
 		ms.now = cycle
 	}
-	ms.sched.runUntil(cycle)
+	if t := ms.sched.next(); t >= 0 && t <= cycle {
+		ms.sched.runUntil(cycle)
+	}
 }
 
 // NextEvent implements cpu.MemPort.
@@ -255,22 +262,12 @@ func (ms *MemSystem) Load(cycle int64, va, pc uint32, done func(int64)) {
 	ms.st.L1Misses++
 	strideIssued := ms.observeL1Miss(cycle, pc, va)
 	if pa, ok := ms.dtlb.Lookup(va); ok {
-		// TLB hit: continue synchronously without building the walk
-		// continuation (which would otherwise be allocated on every L1
-		// miss just in case the slow path needed it).
 		ms.l2Access(cycle, pa, va, done, strideIssued, false)
 		return
 	}
-	//simlint:allow hotalloc -- walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(cycle, va, false, func(at int64, pa uint32, ok bool) {
-		if !ok {
-			// Demand access to an unmapped page: return junk after an
-			// L2-latency delay. Valid traces never hit this path.
-			done(at + ms.cfg.L2Lat)
-			return
-		}
-		ms.l2Access(at, pa, va, done, strideIssued, false)
-	})
+	w := ms.newWalk(walkLoad, va)
+	w.done, w.strideIssued = done, strideIssued
+	ms.walk(cycle, w)
 }
 
 // Store implements cpu.MemPort. Stores are committed (post-retirement), so
@@ -292,14 +289,9 @@ func (ms *MemSystem) Store(cycle int64, va, pc uint32, done func(int64)) {
 		ms.l2Access(cycle, pa, va, done, strideIssued, true)
 		return
 	}
-	//simlint:allow hotalloc -- walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(cycle, va, false, func(at int64, pa uint32, ok bool) {
-		if !ok {
-			done(at + ms.cfg.L2Lat)
-			return
-		}
-		ms.l2Access(at, pa, va, done, strideIssued, true)
-	})
+	w := ms.newWalk(walkStore, va)
+	w.done, w.strideIssued = done, strideIssued
+	ms.walk(cycle, w)
 }
 
 // observeL1Miss drives every L1-stream engine on one L1 miss and issues
@@ -383,52 +375,6 @@ func (ms *MemSystem) noteStrideLine(paBase uint32) {
 	}
 }
 
-// walk resolves va's translation by walking the page table; callers handle
-// the DTLB lookup themselves (so the hot TLB-hit path can continue inline
-// without constructing a continuation closure) and reach here only on a
-// miss. cont receives the completion cycle, the physical address, and
-// whether the page is mapped. speculative marks content-prefetch walks
-// (accounted separately and charged to the prefetcher, not the demand
-// stream).
-func (ms *MemSystem) walk(cycle int64, va uint32, speculative bool, cont func(at int64, pa uint32, ok bool)) {
-	if speculative {
-		ms.st.CDPWalks++
-	} else {
-		ms.st.Walks++
-	}
-	if ms.tr.Enabled() {
-		spec := uint64(0)
-		if speculative {
-			spec = 1
-		}
-		ms.tr.Emit(simtrace.Event{
-			Kind: simtrace.KindWalk, Comp: simtrace.CompTLB,
-			Cycle: cycle, Addr: va, Arg: spec,
-		})
-	}
-	refs, frame, ok := ms.space.Walk(va)
-	// First level: page-directory entry.
-	ms.ptRead(cycle, refs[0].Addr, func(at1 int64) {
-		if refs[0].Value&mem.PresentBit == 0 {
-			cont(at1, 0, false)
-			return
-		}
-		// Second level: page-table entry.
-		ms.ptRead(at1, refs[1].Addr, func(at2 int64) {
-			if !ok {
-				cont(at2, 0, false)
-				return
-			}
-			if speculative {
-				ms.dtlb.InsertCold(va, frame)
-			} else {
-				ms.dtlb.Insert(va, frame)
-			}
-			cont(at2, frame<<mem.PageShift|va&mem.PageMask, true)
-		})
-	})
-}
-
 // ptRead fetches one page-table line through the L2. Page-walk fills bypass
 // the content scanner (Section 3.5: page tables are full of pointers).
 func (ms *MemSystem) ptRead(cycle int64, pa uint32, cont func(at int64)) {
@@ -438,7 +384,7 @@ func (ms *MemSystem) ptRead(cycle int64, pa uint32, cont func(at int64)) {
 		return
 	}
 	paBase := lineBase(pa)
-	if req := ms.inflight[paBase]; req != nil {
+	if req := ms.inflight.get(paBase); req != nil {
 		req.Waiters = append(req.Waiters, cont)
 		return
 	}
@@ -472,7 +418,7 @@ func (ms *MemSystem) l2Access(at int64, pa, va uint32, done func(int64), strideI
 	}
 	ms.observeL2Miss(slot, va, strideIssued)
 	paBase := lineBase(pa)
-	if req := ms.inflight[paBase]; req != nil {
+	if req := ms.inflight.get(paBase); req != nil {
 		// A matching transaction is in flight. If it is a prefetch, the
 		// demand promotes it to demand priority and depth (positive
 		// reinforcement; its latency was partially masked).
@@ -508,6 +454,9 @@ func (ms *MemSystem) l2Access(at int64, pa, va uint32, done func(int64), strideI
 			req.DemandWaited = true
 			req.Class = bus.ClassDemand
 			req.Depth = 0
+			// A queued prefetch now outranks its old position.
+			ms.l2q.Fix(req)
+			ms.busq.Fix(req)
 		}
 		req.Waiters = append(req.Waiters, done)
 		return
@@ -614,14 +563,9 @@ func (ms *MemSystem) issueContentPrefetch(at int64, cand core.Candidate, chain u
 		return
 	}
 	ms.st.CDPNeedWalk++
-	//simlint:allow hotalloc -- speculative walk continuation only exists on a TLB miss (slow path); see allocheck.baseline.json
-	ms.walk(at, cand.VA, true, func(at2 int64, pa uint32, ok bool) {
-		if !ok {
-			ms.st.PrefDroppedUnmapped++
-			return
-		}
-		ms.finishContentPrefetch(at2, pa, cand, chain)
-	})
+	w := ms.newWalk(walkContent, cand.VA)
+	w.cand, w.chain = cand, chain
+	ms.walk(at, w)
 }
 
 // finishContentPrefetch enqueues a translated content candidate, tagging it
@@ -650,7 +594,7 @@ func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus
 		return false
 	}
 	paBase := lineBase(pa)
-	if ms.inflight[paBase] != nil {
+	if ms.inflight.get(paBase) != nil {
 		ms.st.PrefDroppedInflight++
 		return false
 	}
@@ -688,7 +632,7 @@ func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus
 		})
 	}
 	ms.l2q.Enqueue(req)
-	ms.inflight[paBase] = req
+	ms.inflight.put(paBase, req)
 	ms.st.PrefIssued[srcOf(class)]++
 	ms.pump(at)
 	return true
@@ -699,7 +643,7 @@ func (ms *MemSystem) enqueuePrefetch2(at int64, pa, va, trigVA uint32, class bus
 func (ms *MemSystem) enqueueDemandReq(at int64, req *bus.Request) {
 	squashed, ok := ms.l2q.EnqueueDemand(req)
 	if squashed != nil {
-		delete(ms.inflight, squashed.PABase)
+		ms.inflight.del(squashed.PABase)
 		ms.st.PrefSquashed++
 		ms.releaseRequest(squashed)
 	}
@@ -709,7 +653,7 @@ func (ms *MemSystem) enqueueDemandReq(at int64, req *bus.Request) {
 		// as a model invariant violation.
 		panic(fmt.Sprintf("sim: L2 queue full of demands at cycle %d", at))
 	}
-	ms.inflight[req.PABase] = req
+	ms.inflight.put(req.PABase, req)
 	ms.pump(at)
 }
 
@@ -790,9 +734,13 @@ func (ms *MemSystem) makeInjectedRequest() *bus.Request {
 // demands), wake waiters, and hand a copy of the line to the content
 // scanner.
 func (ms *MemSystem) fillArrive(at int64, req *bus.Request) {
-	delete(ms.inflight, req.PABase)
-	if debugInvariants && !req.Injected {
-		ms.flying--
+	// An injected request was never entered in the inflight table, and
+	// its line may be one a real transaction holds there.
+	if !req.Injected {
+		ms.inflight.del(req.PABase)
+		if debugInvariants {
+			ms.flying--
+		}
 	}
 	fillSlot := ms.reserveL2(at)
 	_ = fillSlot // the fill consumes an L2 port slot; data is usable at `at`

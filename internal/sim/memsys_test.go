@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/markov"
 	"repro/internal/mem"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -207,5 +209,39 @@ func TestMarkovStridePrecedence(t *testing.T) {
 	}
 	if mkv > str {
 		t.Fatalf("markov (%d) out-issued stride (%d) despite precedence", mkv, str)
+	}
+}
+
+// An injected bad prefetch is never entered in the inflight table, so its
+// fill must not remove the entry of a real transaction to the same line.
+// Under -tags simdebug the invariant layer also rejects the orphaned
+// transaction at the next pump.
+func TestInjectedFillKeepsRealTransaction(t *testing.T) {
+	cfg := testConfig()
+	cfg.InjectBadPrefetches = true
+	ms := NewMemSystem(&cfg, mem.NewAddressSpace(), &stats.Counters{}, stats.NewMPTUSeries(cfg.MPTUBucketOps))
+	// The queues are empty and the bus idle, so the first pump injects,
+	// at the line the injection generator yields next.
+	line := lineBase(ms.injLCG*1664525 + 1013904223)
+	ms.pump(1)
+	if ms.st.InjectedPrefetches != 1 {
+		t.Fatalf("injected %d prefetches, want 1", ms.st.InjectedPrefetches)
+	}
+	// A real prefetch to the same line queues behind the injected transfer
+	// and arrives after it.
+	if !ms.enqueuePrefetch(2, line, line, line, bus.ClassStride, 0, false) {
+		t.Fatal("real prefetch to the injected line was dropped")
+	}
+	req := ms.inflight.get(line)
+	if req == nil || req.Injected {
+		t.Fatalf("inflight entry for line %#x = %+v, want the real prefetch", line, req)
+	}
+	ms.Tick(1 + ms.fsb.Latency) // the injected fill arrives
+	if got := ms.inflight.get(line); got != req {
+		t.Fatalf("after the injected fill, inflight entry for line %#x = %+v, want the real prefetch", line, got)
+	}
+	ms.Tick(1 + 2*ms.fsb.Latency) // the real fill arrives
+	if got := ms.inflight.get(line); got != nil {
+		t.Fatalf("after the real fill, inflight entry for line %#x = %+v, want none", line, got)
 	}
 }
