@@ -36,7 +36,7 @@ func buildWorkload() *trace.Checkpoint {
 		space.Img.Write32(records[i], rng.Uint32()|1)
 		space.Img.Write32(n+8, records[i])
 	}
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for pass := 0; pass < 2; pass++ {
 		for i, n := range list.Nodes {
 			b.Load(0x104, 2, 1, n+8)           // record pointer

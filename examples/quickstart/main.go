@@ -40,7 +40,7 @@ func main() {
 	// 2. Trace two traversals: load next pointer (dependence chain), load
 	// the payload through the node's pointer, do some work, branch on the
 	// loaded data.
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for pass := 0; pass < 2; pass++ {
 		for i, n := range list.Nodes {
 			b.Load(0x104, 2, 1, n+8)        // r2 = node->payload

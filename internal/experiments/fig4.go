@@ -33,7 +33,7 @@ func fig4Chain(nodes, work int) *trace.Checkpoint {
 		space.Img.Write32(pay[i], rng.Uint32()|1)
 		space.Img.Write32(n+8, pay[i])
 	}
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for i, n := range l.Nodes {
 		b.Load(0x104, 2, 1, n+8)
 		b.Load(0x108, 3, 2, pay[i])

@@ -13,6 +13,7 @@ package heap
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -87,10 +88,10 @@ func (f Fill) word(rng *rand.Rand) uint32 {
 }
 
 // fillNode writes filler into every word of the node except the offsets in
-// keep.
-func fillNode(img *mem.Image, rng *rand.Rand, addr, size uint32, f Fill, keep map[uint32]bool) {
+// keep (a node's at most three pointer and key fields).
+func fillNode(img *mem.Image, rng *rand.Rand, addr, size uint32, f Fill, keep []uint32) {
 	for off := uint32(0); off+mem.WordSize <= size; off += mem.WordSize {
-		if keep[off] {
+		if slices.Contains(keep, off) {
 			continue
 		}
 		img.Write32(addr+off, f.word(rng))
@@ -149,7 +150,7 @@ func BuildList(a *Allocator, rng *rand.Rand, spec ListSpec) *List {
 	} else {
 		addrs = scatter(a, rng, spec.Nodes, spec.NodeSize, align)
 	}
-	keep := map[uint32]bool{spec.NextOff: true}
+	keep := []uint32{spec.NextOff}
 	img := a.as.Img
 	for i, addr := range addrs {
 		fillNode(img, rng, addr, spec.NodeSize, spec.Fill, keep)
@@ -201,7 +202,7 @@ func BuildTree(a *Allocator, rng *rand.Rand, spec TreeSpec) *Tree {
 		panic("heap: tree field outside node")
 	}
 	addrs := scatter(a, rng, spec.Nodes, spec.NodeSize, 4)
-	keep := map[uint32]bool{spec.KeyOff: true, spec.LeftOff: true, spec.RightOff: true}
+	keep := []uint32{spec.KeyOff, spec.LeftOff, spec.RightOff}
 	img := a.as.Img
 	keys := rng.Perm(spec.Nodes)
 	byKey := make([]uint32, spec.Nodes) // key -> node address
@@ -272,7 +273,7 @@ func BuildHash(a *Allocator, rng *rand.Rand, spec HashSpec) *Hash {
 		img.Write32(base+uint32(i)*mem.WordSize, 0)
 	}
 	addrs := scatter(a, rng, spec.Entries, spec.NodeSize, 4)
-	keep := map[uint32]bool{spec.NextOff: true, spec.KeyOff: true}
+	keep := []uint32{spec.NextOff, spec.KeyOff}
 	chain := make([]int, spec.Buckets)
 	for i, addr := range addrs {
 		fillNode(img, rng, addr, spec.NodeSize, spec.Fill, keep)

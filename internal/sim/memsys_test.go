@@ -27,7 +27,7 @@ func buildLoop(t *testing.T, lines, passes, work int) *trace.Checkpoint {
 		addrs[i] = alloc.Alloc(64, 64)
 	}
 	rng.Shuffle(lines, func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for p := 0; p < passes; p++ {
 		for i, a := range addrs {
 			// Serially dependent loads: the repeating miss sequence is
@@ -91,7 +91,7 @@ func TestPageWalkFillsNotScanned(t *testing.T) {
 	alloc := heap.NewAllocator(as, 0x1000_0000, 0x1100_0000)
 	arr := heap.BuildArray(alloc, rand.New(rand.NewSource(3)), 40_000, 64, heap.Fill{})
 	// Zero fill: no words in the data anywhere look like pointers.
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 30_000; i++ {
 		b.Load(0x400, 1, trace.NoReg, arr.Elem(rng.Intn(arr.Elems)))
@@ -161,7 +161,7 @@ func TestStoreHeavyWorkloadWritesBack(t *testing.T) {
 	as := mem.NewAddressSpace()
 	alloc := heap.NewAllocator(as, 0x1000_0000, 0x1100_0000)
 	arr := heap.BuildArray(alloc, rand.New(rand.NewSource(5)), 40_000, 64, heap.Fill{})
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for p := 0; p < 2; p++ {
 		for i := 0; i < arr.Elems; i++ {
 			b.Store(0x500, 1, trace.NoReg, arr.Elem(i))

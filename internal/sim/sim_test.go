@@ -40,7 +40,7 @@ func buildChase(t *testing.T, nodes, passes, workPerNode int, payload bool) *tra
 			as.Img.Write32(n+8, blocks[i])
 		}
 	}
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for p := 0; p < passes; p++ {
 		cur := l.Head
 		for cur != 0 {
@@ -77,7 +77,7 @@ func buildStrideWalk(t *testing.T, elems, passes int) *trace.Checkpoint {
 	alloc := heap.NewAllocator(as, 0x1000_0000, 0x3000_0000)
 	rng := rand.New(rand.NewSource(8))
 	arr := heap.BuildArray(alloc, rng, elems, 64, heap.Fill{SmallInts: 1})
-	b := trace.NewBuilder()
+	b := trace.NewBuilder(0)
 	for p := 0; p < passes; p++ {
 		for i := 0; i < elems; i++ {
 			b.Load(0x200, 1, trace.NoReg, arr.Elem(i))

@@ -13,7 +13,7 @@ func fuzzSeedCheckpoint() *Checkpoint {
 	space := mem.NewAddressSpace()
 	space.EnsureMapped(0x1000_0000, 2*mem.PageSize)
 	space.Img.Write32(0x1000_0000, 0x1000_0040)
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Load(0x400, 1, 2, 0x1000_0000)
 	b.Int(0x404, 3, 1, NoReg)
 	b.Store(0x408, 3, 2, 0x1000_0004)

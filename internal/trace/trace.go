@@ -75,8 +75,12 @@ type Builder struct {
 	t Trace
 }
 
-// NewBuilder returns an empty trace builder.
-func NewBuilder() *Builder { return &Builder{} }
+// NewBuilder returns an empty trace builder with room for capHint µops.
+// A generator that knows its budget passes it (plus its overshoot) so the
+// trace is allocated once instead of regrown as it fills; 0 means no hint.
+func NewBuilder(capHint int) *Builder {
+	return &Builder{t: Trace{Ops: make([]Op, 0, capHint)}}
+}
 
 // Emit appends a raw µop.
 func (b *Builder) Emit(op Op) { b.t.Ops = append(b.t.Ops, op) }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBuilderEmitters(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Int(0x100, 1, 2, 3)
 	b.FP(0x104, 4, 5, NoReg)
 	b.Load(0x108, 6, 1, 0xDEAD_0000)

@@ -88,6 +88,9 @@ var (
 	ckCache = map[string]*trace.Checkpoint{}
 )
 
+// checkpointSeed is the fixed seed Checkpoint generates s with.
+func checkpointSeed(s Spec) int64 { return int64(len(s.Name))*7919 + 13 }
+
 // Checkpoint returns a (possibly cached) checkpoint for the benchmark at
 // the given budget.
 func Checkpoint(s Spec, ops int) *trace.Checkpoint {
@@ -100,7 +103,7 @@ func Checkpoint(s Spec, ops int) *trace.Checkpoint {
 	if ck, ok := ckCache[key]; ok {
 		return ck
 	}
-	ck := s.Generate(GenConfig{Ops: ops, Seed: int64(len(s.Name))*7919 + 13})
+	ck := s.Generate(GenConfig{Ops: ops, Seed: checkpointSeed(s)})
 	ckCache[key] = ck
 	return ck
 }

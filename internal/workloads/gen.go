@@ -65,6 +65,17 @@ type Gen struct {
 	Instr int // logical instruction count (Table 2 reporting)
 }
 
+// traceSlack is how far past its budget a generator's trace may run. Done
+// is checked between emission loops, not inside every one, so the last
+// iteration finishes after the budget is met; the longest such tail is
+// proE's 7,020 µops (its 5,000-µop FP kernel plus its 2,000-µop integer
+// kernel). Below ~30k µops the warm-up passes alone can exceed the budget
+// by more than this, and the trace regrows there.
+const traceSlack = 8 << 10
+
+// traceReserve is the trace capacity newGen reserves for an ops budget.
+func traceReserve(ops int) int { return ops + traceSlack }
+
 func newGen(cfg GenConfig) *Gen {
 	as := mem.NewAddressSpace()
 	return &Gen{
@@ -73,7 +84,7 @@ func newGen(cfg GenConfig) *Gen {
 		Data: heap.NewAllocator(as, dataBase, dataLimit),
 		Low:  heap.NewAllocator(as, lowBase, lowLimit),
 		High: heap.NewAllocator(as, highBase, highLimit),
-		B:    trace.NewBuilder(),
+		B:    trace.NewBuilder(traceReserve(cfg.Ops)),
 		Rng:  rand.New(rand.NewSource(cfg.Seed)),
 		Ops:  cfg.Ops,
 	}
