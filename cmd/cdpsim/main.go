@@ -96,14 +96,15 @@ func main() {
 		cfg = cfg.WithMarkov(budget, cfg.L2)
 	}
 	if *engine != "" {
-		// Validate here so a typo exits with the registry's name listing,
-		// matching the unknown-benchmark convention, instead of panicking
-		// inside the simulator.
-		if err := registry.Validate(*engine); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		cfg = cfg.WithEngine(*engine)
+	}
+	// Validate here so a typo'd engine exits with the registry's name
+	// listing, and an impossible machine (-tlb 0, -cdp with -engine cdp)
+	// with its reason, matching the unknown-benchmark convention instead of
+	// panicking inside the simulator.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	var tr *simtrace.Tracer

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -204,6 +205,64 @@ func TestBadRequests(t *testing.T) {
 	}
 	if st := q.Stats(); st.Depth != 0 || st.Running != 0 {
 		t.Fatalf("bad requests reached the queue: %+v", st)
+	}
+}
+
+// TestRequestBounds pins the request ceilings and the no-negatives rule:
+// every negative or oversized numeric field is a 400 naming the field,
+// on every surface that parses an ops budget, before any queue slot is
+// spent; each ceiling value itself resolves.
+func TestRequestBounds(t *testing.T) {
+	s, q := newTestServer(t, jobq.Config{Workers: 1, Capacity: 8})
+	over := strconv.Itoa(MaxOps + 1)
+	cases := []struct {
+		name, field, body string
+	}{
+		{"negative ops", "ops", `{"benchmark": "b2c", "ops": -5}`},
+		{"oversized ops", "ops", `{"benchmark": "b2c", "ops": 100000000000}`},
+		{"ops just over", "ops", `{"benchmark": "b2c", "ops": ` + over + `}`},
+		{"negative depth", "depth", `{"benchmark": "b2c", "cdp": true, "depth": -1}`},
+		{"negative l2_kb", "l2_kb", `{"benchmark": "b2c", "l2_kb": -1}`},
+		{"oversized l2_kb", "l2_kb", `{"benchmark": "b2c", "l2_kb": 1073741824}`},
+		{"negative l2_ways", "l2_ways", `{"benchmark": "b2c", "l2_ways": -8}`},
+		{"negative tlb_entries", "tlb_entries", `{"benchmark": "b2c", "tlb_entries": -64}`},
+		{"oversized tlb_entries", "tlb_entries", `{"benchmark": "b2c", "tlb_entries": ` + strconv.Itoa(MaxTLBEntries+1) + `}`},
+	}
+	for _, c := range cases {
+		w := postSim(t, s, c.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), c.field) {
+			t.Errorf("%s: %d %s, want a 400 naming %q", c.name, w.Code, w.Body, c.field)
+		}
+	}
+	for _, url := range []string{
+		"/v1/arena?ops=" + over,
+		"/v1/arena?ops=-1",
+		"/v1/experiments/table2?ops=" + over,
+		"/v1/experiments/table2?ops=-1",
+	} {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("GET", url, nil))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "ops") {
+			t.Errorf("GET %s: %d %s, want a 400 naming ops", url, w.Code, w.Body)
+		}
+	}
+	if st := q.Stats(); st.Depth != 0 || st.Running != 0 {
+		t.Fatalf("out-of-bounds requests reached the queue: %+v", st)
+	}
+
+	// The ceilings themselves are accepted (resolved, not run: a
+	// ceiling-sized simulation is minutes of work).
+	for _, req := range []SimRequest{
+		{Benchmark: "b2c", Ops: MaxOps},
+		{Benchmark: "b2c", L2KB: MaxL2KB},
+		{Benchmark: "b2c", TLBEntries: MaxTLBEntries},
+	} {
+		if _, _, _, err := ResolveSim(req); err != nil {
+			t.Errorf("ceiling request %+v rejected: %v", req, err)
+		}
+	}
+	if ops, err := ParseOps(strconv.Itoa(MaxOps)); err != nil || ops != MaxOps {
+		t.Errorf("ParseOps(MaxOps) = %d, %v", ops, err)
 	}
 }
 

@@ -58,21 +58,13 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 // and later single-sim requests hit the cells the arena filled.
 func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	ops := 0
-	if v := q.Get("ops"); v != "" {
-		var err error
-		ops, err = strconv.Atoi(v)
-		if err != nil || ops < 0 {
-			writeError(w, http.StatusBadRequest, "bad ops %q", v)
-			return
-		}
-	}
-	if ops == 0 {
-		ops = workloads.DefaultOps
+	ops, err := ParseOps(q.Get("ops"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	priority := 0
 	if v := q.Get("priority"); v != "" {
-		var err error
 		priority, err = strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad priority %q", v)
@@ -147,10 +139,10 @@ func arenaBase(ops int) sim.Config {
 }
 
 // arenaConfig resolves one engine spec into a full simulator configuration.
-// The three engines with bespoke simulator wiring (stride is the always-on
-// baseline, cdp scans fills inside the memory system, markov has its own
-// budget knob) map to their canonical configurations; interface-native
-// entrants ride sim.Config.Engine and accept the registry's spec grammar.
+// The three engines with dedicated request knobs (stride is the always-on
+// baseline, cdp and markov_kb enable theirs) map to their canonical
+// configurations; the other entrants attach by sim.Config.WithEngine and
+// accept the registry's spec grammar.
 func arenaConfig(base sim.Config, engineSpec string) (sim.Config, error) {
 	name, params, err := registry.ParseSpec(engineSpec)
 	if err != nil {

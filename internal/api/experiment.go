@@ -10,7 +10,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/jobq"
 	"repro/internal/simcache"
-	"repro/internal/workloads"
 )
 
 // experimentReport is the cacheable payload for one finished experiment.
@@ -34,16 +33,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	ops := 0
-	if v := q.Get("ops"); v != "" {
-		ops, err = strconv.Atoi(v)
-		if err != nil || ops < 0 {
-			writeError(w, http.StatusBadRequest, "bad ops %q", v)
-			return
-		}
-	}
-	if ops == 0 {
-		ops = workloads.DefaultOps
+	ops, err := ParseOps(q.Get("ops"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	reps := q.Get("reps") == "1"
 	priority := 0

@@ -3,7 +3,9 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cache"
@@ -14,12 +16,27 @@ import (
 	"repro/internal/workloads"
 )
 
+// Request ceilings. Every request's machine and trace are allocated whole
+// before the run starts (trace generation reserves the entire µop budget,
+// cache.New every line), so an unbounded value is an out-of-memory crash
+// of the daemon, not a slow job. A request over a ceiling gets a 400.
+const (
+	// MaxOps is 25 × DefaultOps: 30 M µops, the paper's LIT length.
+	MaxOps = 25 * workloads.DefaultOps
+	// MaxL2KB is a 64 MiB UL2, 64× the Table 1 cache.
+	MaxL2KB = 64 * 1024
+	// MaxTLBEntries is 64× the Table 1 DTLB.
+	MaxTLBEntries = 4096
+)
+
 // SimRequest is the POST /v1/sim body. Every field beyond Benchmark is
 // optional and defaults to the Table 1 baseline (mirroring cmd/cdpsim's
 // flags). Pointer fields distinguish "omitted" from an explicit zero.
+// Negative numbers are rejected, never defaulted.
 type SimRequest struct {
 	Benchmark string `json:"benchmark"`
-	// Ops is the µop budget (0 = the default ~1.2 M-µop trace).
+	// Ops is the µop budget (0 = the default ~1.2 M-µop trace; at most
+	// MaxOps).
 	Ops int `json:"ops,omitempty"`
 
 	// CDP enables the content-directed prefetcher.
@@ -35,17 +52,17 @@ type SimRequest struct {
 
 	// Engine selects an interface-native prefetcher from the registry by
 	// spec ("pangloss", "bestoffset:offsets=best", ...). The three engines
-	// with bespoke simulator wiring keep their dedicated knobs above
-	// (stride is the always-on baseline, cdp and markov_kb enable theirs);
+	// with dedicated knobs above keep them (stride is the always-on
+	// baseline, cdp and markov_kb enable theirs);
 	// naming them here is rejected so every configuration has exactly one
 	// request spelling — and therefore exactly one content key. The
 	// coordinator's arena fan-out rides this field so a cell lands on a
 	// worker under the exact content key the worker's own arena would use.
 	Engine string `json:"engine,omitempty"`
 
-	L2KB       int  `json:"l2_kb,omitempty"`       // 0 = 1024
+	L2KB       int  `json:"l2_kb,omitempty"`       // 0 = 1024; at most MaxL2KB
 	L2Ways     int  `json:"l2_ways,omitempty"`     // 0 = 8
-	TLBEntries int  `json:"tlb_entries,omitempty"` // 0 = 64
+	TLBEntries int  `json:"tlb_entries,omitempty"` // 0 = 64; at most MaxTLBEntries
 	Inject     bool `json:"inject,omitempty"`
 
 	// CheckpointEveryOps segments the run, pausing at every multiple of
@@ -80,12 +97,25 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 		return workloads.Spec{}, sim.Config{}, 0,
 			fmt.Errorf("unknown benchmark %q (valid: %s)", req.Benchmark, strings.Join(benchmarkNames(), ", "))
 	}
-	ops := req.Ops
-	if ops < 0 {
-		return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf("negative ops %d", ops)
+	ops, err := resolveOps(req.Ops)
+	if err != nil {
+		return workloads.Spec{}, sim.Config{}, 0, err
 	}
-	if ops == 0 {
-		ops = workloads.DefaultOps
+	for _, f := range []struct {
+		name     string
+		v, limit int
+	}{
+		{"depth", req.Depth, math.MaxInt},
+		{"l2_kb", req.L2KB, MaxL2KB},
+		{"l2_ways", req.L2Ways, math.MaxInt},
+		{"tlb_entries", req.TLBEntries, MaxTLBEntries},
+	} {
+		if f.v < 0 {
+			return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf("negative %s %d", f.name, f.v)
+		}
+		if f.v > f.limit {
+			return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf("%s %d exceeds the ceiling of %d", f.name, f.v, f.limit)
+		}
 	}
 
 	cfg := sim.Default()
@@ -148,6 +178,36 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 		return workloads.Spec{}, sim.Config{}, 0, fmt.Errorf("invalid configuration: %w", err)
 	}
 	return spec, cfg, ops, nil
+}
+
+// ParseOps reads an ops query parameter under the rule every request
+// surface shares: empty or 0 is DefaultOps, and anything negative, above
+// MaxOps or not an integer is an error naming the field.
+func ParseOps(v string) (int, error) {
+	if v == "" {
+		return workloads.DefaultOps, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad ops %q: not an integer", v)
+	}
+	ops, err := resolveOps(n)
+	if err != nil {
+		return 0, fmt.Errorf("bad ops %q: %v", v, err)
+	}
+	return ops, nil
+}
+
+func resolveOps(ops int) (int, error) {
+	switch {
+	case ops < 0:
+		return 0, fmt.Errorf("negative ops %d", ops)
+	case ops > MaxOps:
+		return 0, fmt.Errorf("ops %d exceeds the ceiling of %d", ops, MaxOps)
+	case ops == 0:
+		return workloads.DefaultOps, nil
+	}
+	return ops, nil
 }
 
 // ResolveSim resolves a request exactly as the submit handler does, for

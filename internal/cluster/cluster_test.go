@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -433,6 +434,32 @@ func TestClusterArenaFanout(t *testing.T) {
 	}
 	if !bytes.Equal(env.Result, refResult) {
 		t.Errorf("distributed arena differs from standalone:\ncluster    %s\nstandalone %s", env.Result, refResult)
+	}
+}
+
+// TestClusterArenaRejectsOversizedOps: the coordinator's arena fan-out
+// applies the same ops ceiling as a worker, so an oversized budget is a
+// 400 before any cell is placed or simulated.
+func TestClusterArenaRejectsOversizedOps(t *testing.T) {
+	coord, coordTS := startCoordinator(t, CoordinatorOptions{})
+	startWorker(t, coordTS.URL, "w1", WorkerOptions{})
+	waitForWorkers(t, coord, 1)
+
+	runsBefore := sim.Runs()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/arena?ops=%d&benchmarks=quake&engines=cdp&wait=1", coordTS.URL, api.MaxOps+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(payload), "ops") {
+		t.Fatalf("oversized arena: %d %s, want a 400 naming ops", resp.StatusCode, payload)
+	}
+	coord.mu.Lock()
+	placed := len(coord.placed)
+	coord.mu.Unlock()
+	if placed != 0 || sim.Runs() != runsBefore {
+		t.Fatalf("oversized arena placed %d cells and ran %d simulations, want none", placed, sim.Runs()-runsBefore)
 	}
 }
 

@@ -816,21 +816,13 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 // is cached locally under the same arena key a standalone daemon uses.
 func (c *Coordinator) handleArena(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	ops := 0
-	if v := q.Get("ops"); v != "" {
-		var err error
-		ops, err = strconv.Atoi(v)
-		if err != nil || ops < 0 {
-			writeError(w, http.StatusBadRequest, "bad ops %q", v)
-			return
-		}
-	}
-	if ops == 0 {
-		ops = workloads.DefaultOps
+	ops, err := api.ParseOps(q.Get("ops"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	priority := 0
 	if v := q.Get("priority"); v != "" {
-		var err error
 		priority, err = strconv.Atoi(v)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad priority %q", v)

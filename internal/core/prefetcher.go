@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/prefetch"
 	"repro/internal/simtrace"
 )
 
@@ -75,6 +76,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// New builds the content prefetcher.
+func (c Config) New() prefetch.Prefetcher { return New(c) }
+
+// Stream: the CDP is the one engine that trains on data-carrying fills —
+// the paper's whole point is that the prediction state *is* the data.
+func (c Config) Stream() prefetch.Stream { return prefetch.StreamFill }
+
 // Candidate is one prefetch the policy wants issued.
 type Candidate struct {
 	// VA is the virtual line base address to prefetch.
@@ -94,14 +102,21 @@ type Candidate struct {
 // training. The only persistent state in the whole scheme is the 2-bit
 // stored depth per L2 line, which lives in the cache, not here.
 type Prefetcher struct {
-	cfg      Config
+	conf     Config // as constructed, for Reset
+	cfg      Config // live policy: the adaptive controller moves Match
 	adaptive *Adaptive
+	enabled  bool
 
 	linesScanned  uint64
 	wordsMatched  uint64
 	rescans       uint64
 	chainsStopped uint64 // scans suppressed by the depth threshold
 	adaptations   uint64
+
+	// observed and issued are the engine-interface counters; they count
+	// Observe calls only (the memory system drives OnFill directly).
+	observed uint64
+	issued   uint64
 
 	// words and out are scratch buffers reused across fills; the slice
 	// OnFill returns aliases out and is valid only until the next call.
@@ -123,12 +138,62 @@ func New(cfg Config) *Prefetcher {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &Prefetcher{cfg: cfg}
+	p := &Prefetcher{conf: cfg, cfg: cfg, enabled: true}
 	if cfg.Adaptive != nil {
 		p.adaptive = NewAdaptive(*cfg.Adaptive, cfg.Match)
 		p.cfg.Match = p.adaptive.Match()
 	}
 	return p
+}
+
+var _ prefetch.Prefetcher = (*Prefetcher)(nil)
+
+// Name is the engine's registry name.
+func (p *Prefetcher) Name() string { return "cdp" }
+
+// Stream: the CDP scans data-carrying fills.
+func (p *Prefetcher) Stream() prefetch.Stream { return prefetch.StreamFill }
+
+// Translate: content candidates are virtual addresses and go through the
+// DTLB like demand references (Section 3.2).
+func (p *Prefetcher) Translate() prefetch.TranslateVia { return prefetch.TranslateTLB }
+
+// SetEnabled toggles issue from Observe; scanning continues while
+// disabled.
+func (p *Prefetcher) SetEnabled(enabled bool) { p.enabled = enabled }
+
+// Counters reports the engine-interface counters.
+func (p *Prefetcher) Counters() prefetch.Counters {
+	return prefetch.Counters{Observed: p.observed, Issued: p.issued}
+}
+
+// Reset rebuilds the scanner from its constructed policy. The CDP holds
+// no tables, so this zeroes its statistics and undoes any adaptation; an
+// attached tracer stays attached.
+func (p *Prefetcher) Reset() {
+	tr := p.tr
+	*p = *New(p.conf)
+	p.tr = tr
+}
+
+// Observe scans one filled line (ev.Data) and appends the candidate lines.
+// Events without data train nothing: stateless means there is no table to
+// update. Inside the simulator the memory system calls OnFill instead,
+// because it needs each candidate's depth.
+func (p *Prefetcher) Observe(ev prefetch.Event, dst []uint32) []uint32 {
+	p.observed++
+	if len(ev.Data) == 0 {
+		return dst
+	}
+	cands := p.OnFill(ev.TrigVA, ev.Depth, ev.VA, ev.Data)
+	if !p.enabled {
+		return dst
+	}
+	for i := range cands {
+		dst = append(dst, cands[i].VA)
+	}
+	p.issued += uint64(len(cands))
+	return dst
 }
 
 // Config returns the active policy.
@@ -267,68 +332,53 @@ func (p *Prefetcher) String() string {
 		p.cfg.PrevLines, p.cfg.NextLines, r)
 }
 
-// AdaptiveState is the checkpointable part of the Adaptive controller.
-type AdaptiveState struct {
-	Match    MatchConfig
-	Useful   uint64
-	Total    uint64
-	Steps    uint64
-	Tightens uint64
-	Loosens  uint64
-}
-
-// State snapshots the controller.
-func (a *Adaptive) State() AdaptiveState {
-	return AdaptiveState{
-		Match: a.match, Useful: a.useful, Total: a.total,
-		Steps: a.steps, Tightens: a.tightens, Loosens: a.loosens,
-	}
-}
-
-// Restore overwrites the controller with a previously captured state.
-func (a *Adaptive) Restore(st AdaptiveState) error {
-	if err := st.Match.Validate(); err != nil {
-		return fmt.Errorf("core: adaptive state carries invalid heuristic: %v", err)
-	}
-	a.match = st.Match
-	a.useful, a.total = st.Useful, st.Total
-	a.steps, a.tightens, a.loosens = st.Steps, st.Tightens, st.Loosens
-	return nil
-}
-
-// State is the checkpointable part of the prefetcher: the live heuristic
-// (which the adaptive controller may have moved off its configured start)
-// and the activity counters. The scratch buffers are per-fill and never
-// cross a checkpoint boundary.
-type State struct {
+// state is the prefetcher's checkpoint payload: the live heuristic (which
+// the adaptive controller may have moved off its configured start), the
+// activity counters, and the controller's window. The scratch buffers are
+// per-fill and never cross a checkpoint boundary.
+type state struct {
 	Match         MatchConfig
 	LinesScanned  uint64
 	WordsMatched  uint64
 	Rescans       uint64
 	ChainsStopped uint64
 	Adaptations   uint64
-	Adaptive      *AdaptiveState
+	Observed      uint64
+	Issued        uint64
+	Adaptive      *adaptiveState
 }
 
-// State snapshots the prefetcher.
-func (p *Prefetcher) State() State {
-	st := State{
+type adaptiveState struct {
+	Match                    MatchConfig
+	Useful, Total            uint64
+	Steps, Tightens, Loosens uint64
+}
+
+// MarshalState serialises the prefetcher for checkpointing.
+func (p *Prefetcher) MarshalState() ([]byte, error) {
+	st := state{
 		Match:        p.cfg.Match,
 		LinesScanned: p.linesScanned, WordsMatched: p.wordsMatched,
 		Rescans: p.rescans, ChainsStopped: p.chainsStopped,
-		Adaptations: p.adaptations,
+		Adaptations: p.adaptations, Observed: p.observed, Issued: p.issued,
 	}
-	if p.adaptive != nil {
-		as := p.adaptive.State()
-		st.Adaptive = &as
+	if a := p.adaptive; a != nil {
+		st.Adaptive = &adaptiveState{
+			Match: a.match, Useful: a.useful, Total: a.total,
+			Steps: a.steps, Tightens: a.tightens, Loosens: a.loosens,
+		}
 	}
-	return st
+	return prefetch.EncodeState(st)
 }
 
-// Restore overwrites the prefetcher with a previously captured state. The
-// snapshot must agree with the prefetcher's static configuration on whether
-// an adaptive controller is present.
-func (p *Prefetcher) Restore(st State) error {
+// UnmarshalState restores a MarshalState payload. The payload must agree
+// with the prefetcher's static configuration on whether an adaptive
+// controller is present.
+func (p *Prefetcher) UnmarshalState(data []byte) error {
+	var st state
+	if err := prefetch.DecodeState(data, &st); err != nil {
+		return err
+	}
 	if (st.Adaptive != nil) != (p.adaptive != nil) {
 		return fmt.Errorf("core: adaptive state presence mismatch (snapshot %v, config %v)",
 			st.Adaptive != nil, p.adaptive != nil)
@@ -336,14 +386,19 @@ func (p *Prefetcher) Restore(st State) error {
 	if err := st.Match.Validate(); err != nil {
 		return fmt.Errorf("core: prefetcher state carries invalid heuristic: %v", err)
 	}
-	if p.adaptive != nil {
-		if err := p.adaptive.Restore(*st.Adaptive); err != nil {
-			return err
+	if as := st.Adaptive; as != nil {
+		if err := as.Match.Validate(); err != nil {
+			return fmt.Errorf("core: adaptive state carries invalid heuristic: %v", err)
 		}
+		a := p.adaptive
+		a.match = as.Match
+		a.useful, a.total = as.Useful, as.Total
+		a.steps, a.tightens, a.loosens = as.Steps, as.Tightens, as.Loosens
 	}
 	p.cfg.Match = st.Match
 	p.linesScanned, p.wordsMatched = st.LinesScanned, st.WordsMatched
 	p.rescans, p.chainsStopped = st.Rescans, st.ChainsStopped
 	p.adaptations = st.Adaptations
+	p.observed, p.issued = st.Observed, st.Issued
 	return nil
 }

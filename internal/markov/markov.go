@@ -14,9 +14,7 @@
 package markov
 
 import (
-	"bytes"
 	"container/list"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/prefetch"
@@ -48,6 +46,12 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// New builds the STAB prefetcher.
+func (c Config) New() prefetch.Prefetcher { return New(c) }
+
+// Stream: the STAB observes the L2 demand-miss stream.
+func (c Config) Stream() prefetch.Stream { return prefetch.StreamL2 }
 
 type entry struct {
 	line uint32
@@ -200,16 +204,11 @@ func (m *Markov) String() string {
 	return fmt.Sprintf("markov{STAB %s, fanout %d}", bound, Fanout)
 }
 
-// EntryState is one STAB entry in a State, MRU-first in the State's Entries
-// slice so the cross-entry LRU order restores exactly.
-type EntryState struct {
-	Line uint32
-	Succ []uint32
-}
-
-// State is a checkpointable deep copy of the STAB.
-type State struct {
-	Entries     []EntryState // MRU-first
+// state is the STAB's checkpoint payload. Entries are MRU-first so the
+// cross-entry LRU order restores exactly; each entry's successors keep
+// their MRU-first order.
+type state struct {
+	Entries     []entryState
 	LastMiss    uint32
 	HaveLast    bool
 	Observed    uint64
@@ -217,22 +216,30 @@ type State struct {
 	Predicted   uint64
 }
 
-// State snapshots the STAB, preserving both the cross-entry LRU order and
-// each entry's MRU-first successor order.
-func (m *Markov) State() State {
-	st := State{
+type entryState struct {
+	Line uint32
+	Succ []uint32
+}
+
+// MarshalState serialises the STAB for checkpointing.
+func (m *Markov) MarshalState() ([]byte, error) {
+	st := state{
 		LastMiss: m.lastMiss, HaveLast: m.haveLast,
 		Observed: m.observed, Transitions: m.transition, Predicted: m.predicted,
 	}
 	for el := m.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
-		st.Entries = append(st.Entries, EntryState{Line: e.line, Succ: append([]uint32(nil), e.succ...)})
+		st.Entries = append(st.Entries, entryState{Line: e.line, Succ: e.succ})
 	}
-	return st
+	return prefetch.EncodeState(st)
 }
 
-// Restore overwrites the STAB with a previously captured State.
-func (m *Markov) Restore(st State) error {
+// UnmarshalState restores a MarshalState payload into a same-bound engine.
+func (m *Markov) UnmarshalState(data []byte) error {
+	var st state
+	if err := prefetch.DecodeState(data, &st); err != nil {
+		return err
+	}
 	if m.cfg.MaxEntries > 0 && len(st.Entries) > m.cfg.MaxEntries {
 		return fmt.Errorf("markov: state has %d entries, table bound is %d", len(st.Entries), m.cfg.MaxEntries)
 	}
@@ -245,29 +252,11 @@ func (m *Markov) Restore(st State) error {
 		if _, dup := m.table[es.Line]; dup {
 			return fmt.Errorf("markov: duplicate entry %#x in state", es.Line)
 		}
-		e := &entry{line: es.Line, succ: append([]uint32(nil), es.Succ...)}
+		e := &entry{line: es.Line, succ: es.Succ}
 		e.elem = m.lru.PushBack(e) // Entries is MRU-first; appending keeps the order
 		m.table[es.Line] = e
 	}
 	m.lastMiss, m.haveLast = st.LastMiss, st.HaveLast
 	m.observed, m.transition, m.predicted = st.Observed, st.Transitions, st.Predicted
 	return nil
-}
-
-// MarshalState serialises the STAB for checkpointing (gob of State).
-func (m *Markov) MarshalState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalState restores a MarshalState payload into a same-bound engine.
-func (m *Markov) UnmarshalState(data []byte) error {
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	return m.Restore(st)
 }

@@ -12,11 +12,7 @@
 // streams it cannot help (the survey's "prefetch-hostile" server traces).
 package prefetch
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // bestOffsetLineBytes is the cache-line granularity offsets are expressed
 // in; it matches the simulator's 64-byte lines.
@@ -56,6 +52,12 @@ func (c BestOffsetConfig) Validate() error {
 	}
 	return nil
 }
+
+// New builds the best-offset learner.
+func (c BestOffsetConfig) New() Prefetcher { return NewBestOffset(c) }
+
+// Stream: the learner trains on the L2 demand-miss stream.
+func (c BestOffsetConfig) Stream() Stream { return StreamL2 }
 
 // DefaultBestOffsetConfig mirrors Michaud's evaluated point scaled to this
 // simulator's short runs: 64 RR entries, 256-miss rounds, saturation at 31.
@@ -198,8 +200,8 @@ func (b *BestOffset) Observe(ev Event, dst []uint32) []uint32 {
 	return dst
 }
 
-// BestOffsetState is a checkpointable deep copy of the learner.
-type BestOffsetState struct {
+// bestOffsetState is the learner's checkpoint payload.
+type bestOffsetState struct {
 	RR       []uint32
 	Scores   []int32
 	TestIdx  int
@@ -209,19 +211,22 @@ type BestOffsetState struct {
 	Issued   uint64
 }
 
-// State snapshots the learner.
-func (b *BestOffset) State() BestOffsetState {
-	return BestOffsetState{
-		RR:      append([]uint32(nil), b.rr...),
-		Scores:  append([]int32(nil), b.scores...),
+// MarshalState serialises the learner for checkpointing.
+func (b *BestOffset) MarshalState() ([]byte, error) {
+	return EncodeState(bestOffsetState{
+		RR: b.rr, Scores: b.scores,
 		TestIdx: b.testIdx, Misses: b.misses, Current: b.current,
 		Observed: b.observed, Issued: b.issued,
-	}
+	})
 }
 
-// Restore overwrites the learner with a previously captured state. The
-// learner must have the geometry the state was captured from.
-func (b *BestOffset) Restore(st BestOffsetState) error {
+// UnmarshalState restores a MarshalState payload into a same-geometry
+// engine.
+func (b *BestOffset) UnmarshalState(data []byte) error {
+	var st bestOffsetState
+	if err := DecodeState(data, &st); err != nil {
+		return err
+	}
 	if len(st.RR) != len(b.rr) || len(st.Scores) != len(b.scores) {
 		return fmt.Errorf("prefetch: bestoffset state rr/scores %d/%d, want %d/%d (geometry mismatch)",
 			len(st.RR), len(st.Scores), len(b.rr), len(b.scores))
@@ -234,24 +239,4 @@ func (b *BestOffset) Restore(st BestOffsetState) error {
 	b.testIdx, b.misses, b.current = st.TestIdx, st.Misses, st.Current
 	b.observed, b.issued = st.Observed, st.Issued
 	return nil
-}
-
-// MarshalState serialises the learner for checkpointing (gob of
-// BestOffsetState).
-func (b *BestOffset) MarshalState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalState restores a MarshalState payload into a same-geometry
-// engine.
-func (b *BestOffset) UnmarshalState(data []byte) error {
-	var st BestOffsetState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	return b.Restore(st)
 }

@@ -1,12 +1,18 @@
-// The Prefetcher interface is the "prefetcher zoo" contract (ROADMAP item
-// 3): every engine — the stride baseline, the Joseph & Grunwald Markov
-// STAB, the content-directed prefetcher, and the newer entrants in this
-// package — observes miss (or fill) events and appends the virtual
-// addresses it wants prefetched. The memory system drives engines only
-// through this interface; internal/prefetch/registry names them, and
-// internal/prefetch/conformance holds the behavioural contract every
-// registered engine must pass.
+// The Prefetcher interface is the "prefetcher zoo" contract: every engine
+// — the stride baseline, the Joseph & Grunwald Markov STAB, the
+// content-directed prefetcher, and the newer entrants in this package —
+// observes miss (or fill) events and appends the virtual addresses it
+// wants prefetched. A Config builds one engine; sim.Config.Prefetchers is
+// an ordered list of them, so attaching an engine to the simulated
+// machine is appending its Config. internal/prefetch/registry names the
+// engines, and internal/prefetch/conformance holds the behavioural
+// contract every registered engine must pass.
 package prefetch
+
+import (
+	"bytes"
+	"encoding/gob"
+)
 
 // Stream identifies which event stream an engine trains on. The memory
 // system delivers events from exactly the declared stream, preserving each
@@ -126,4 +132,33 @@ type Prefetcher interface {
 	UnmarshalState(data []byte) error
 	// String renders the engine and its geometry for config names.
 	String() string
+}
+
+// Config is one engine's construction parameters: the unit of the
+// simulator's ordered engine list. Each engine's config type implements
+// it, so an engine is built in exactly one place whichever surface (Go
+// literal, registry spec, HTTP request) selected it.
+type Config interface {
+	// Validate reports whether New would succeed.
+	Validate() error
+	// New builds a fresh engine; it panics on what Validate rejects.
+	New() Prefetcher
+	// Stream is the stream the engine New builds declares, so a machine
+	// can be checked without building its engines.
+	Stream() Stream
+}
+
+// EncodeState gob-encodes an engine's checkpoint state; it is the body of
+// every MarshalState in the zoo.
+func EncodeState(st any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeState inverts EncodeState into the value st points to.
+func DecodeState(data []byte, st any) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(st)
 }

@@ -13,8 +13,6 @@
 package prefetch
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/bits"
 )
@@ -49,6 +47,12 @@ func (c PanglossConfig) Validate() error {
 	}
 	return nil
 }
+
+// New builds the delta predictor.
+func (c PanglossConfig) New() Prefetcher { return NewPangloss(c) }
+
+// Stream: the delta predictor trains on the L2 demand-miss stream.
+func (c PanglossConfig) Stream() Stream { return StreamL2 }
 
 // DefaultPanglossConfig is a deliberately small table — 256 rows × 4 slots
 // is 4 KiB-class hardware, the compression the paper claims over an
@@ -236,41 +240,44 @@ func (p *Pangloss) Observe(ev Event, dst []uint32) []uint32 {
 	return dst
 }
 
-// PanglossSlotState is one transition slot in a PanglossState, row-major.
-type PanglossSlotState struct {
-	Delta int32
-	Conf  uint8
-	Valid bool
-}
-
-// PanglossState is a checkpointable deep copy of the delta predictor.
-type PanglossState struct {
+// panglossState is the delta predictor's checkpoint payload.
+type panglossState struct {
 	LastVA    uint32
 	LastDelta int32
 	HaveLast  bool
 	HaveDelta bool
 	Observed  uint64
 	Issued    uint64
-	Slots     []PanglossSlotState // Rows × Slots, row-major
+	Slots     []panglossSlotState // Rows × Slots, row-major
 }
 
-// State snapshots the transition table.
-func (p *Pangloss) State() PanglossState {
-	st := PanglossState{
+type panglossSlotState struct {
+	Delta int32
+	Conf  uint8
+	Valid bool
+}
+
+// MarshalState serialises the transition table for checkpointing.
+func (p *Pangloss) MarshalState() ([]byte, error) {
+	st := panglossState{
 		LastVA: p.lastVA, LastDelta: p.lastDelta,
 		HaveLast: p.haveLast, HaveDelta: p.haveDelta,
 		Observed: p.observed, Issued: p.issued,
-		Slots: make([]PanglossSlotState, len(p.table)),
+		Slots: make([]panglossSlotState, len(p.table)),
 	}
 	for i, s := range p.table {
-		st.Slots[i] = PanglossSlotState{Delta: s.delta, Conf: s.conf, Valid: s.valid}
+		st.Slots[i] = panglossSlotState{Delta: s.delta, Conf: s.conf, Valid: s.valid}
 	}
-	return st
+	return EncodeState(st)
 }
 
-// Restore overwrites the table with a previously captured state. The table
-// must have the geometry the state was captured from.
-func (p *Pangloss) Restore(st PanglossState) error {
+// UnmarshalState restores a MarshalState payload into a same-geometry
+// engine.
+func (p *Pangloss) UnmarshalState(data []byte) error {
+	var st panglossState
+	if err := DecodeState(data, &st); err != nil {
+		return err
+	}
 	if len(st.Slots) != len(p.table) {
 		return fmt.Errorf("prefetch: pangloss state has %d slots, table has %d (geometry mismatch)",
 			len(st.Slots), len(p.table))
@@ -282,24 +289,4 @@ func (p *Pangloss) Restore(st PanglossState) error {
 	p.haveLast, p.haveDelta = st.HaveLast, st.HaveDelta
 	p.observed, p.issued = st.Observed, st.Issued
 	return nil
-}
-
-// MarshalState serialises the table for checkpointing (gob of
-// PanglossState).
-func (p *Pangloss) MarshalState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalState restores a MarshalState payload into a same-geometry
-// engine.
-func (p *Pangloss) UnmarshalState(data []byte) error {
-	var st PanglossState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	return p.Restore(st)
 }

@@ -19,18 +19,28 @@ func TestRegistryConformance(t *testing.T) {
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			conformance.Suite(t, func() prefetch.Prefetcher {
-				return registry.MustBuild(name)
+				return registry.Spec(name).New()
 			})
 		})
 	}
 }
 
 // TestRegistryNamesMatchEngines pins Name() to the registry key so specs,
-// leaderboards, and checkpoint guards all agree on spelling.
+// leaderboards, and checkpoint guards all agree on spelling, and pins each
+// config's Stream to the stream its engine declares (the simulator checks
+// a machine's chain from the configs alone).
 func TestRegistryNamesMatchEngines(t *testing.T) {
 	for _, name := range registry.Names() {
-		if got := registry.MustBuild(name).Name(); got != name {
+		cfg, err := registry.Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := cfg.New()
+		if got := eng.Name(); got != name {
 			t.Errorf("engine registered as %q reports Name() %q", name, got)
+		}
+		if cfg.Stream() != eng.Stream() {
+			t.Errorf("%s: config declares stream %v, engine %v", name, cfg.Stream(), eng.Stream())
 		}
 	}
 }
@@ -56,15 +66,15 @@ func TestBuildSpecs(t *testing.T) {
 		{spec: "pangloss:rows=100", wantErr: "power of two"},
 	}
 	for _, tc := range cases {
-		eng, err := registry.Build(tc.spec)
+		cfg, err := registry.Resolve(tc.spec)
 		if tc.wantErr == "" {
 			if err != nil {
-				t.Errorf("Build(%q): %v", tc.spec, err)
+				t.Errorf("Resolve(%q): %v", tc.spec, err)
 			}
 			continue
 		}
-		if eng != nil || err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("Build(%q) = %v, %v; want error containing %q", tc.spec, eng, err, tc.wantErr)
+		if cfg != nil || err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Resolve(%q) = %v, %v; want error containing %q", tc.spec, cfg, err, tc.wantErr)
 		}
 	}
 }
@@ -72,7 +82,7 @@ func TestBuildSpecs(t *testing.T) {
 // TestSpecParametersApply proves parameters actually reach the engine
 // configs rather than being parsed and dropped.
 func TestSpecParametersApply(t *testing.T) {
-	eng := registry.MustBuild("stride:entries=16,degree=3,distance=5")
+	eng := registry.Spec("stride:entries=16,degree=3,distance=5").New()
 	s, ok := eng.(*prefetch.Stride)
 	if !ok {
 		t.Fatalf("stride spec built a %T", eng)

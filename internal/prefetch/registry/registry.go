@@ -1,20 +1,22 @@
 // Package registry names the prefetcher zoo. Every engine the simulator
 // can attach — the stride baseline, the Markov STAB, the content-directed
 // prefetcher, and the newer delta/offset entrants — registers here under a
-// stable name, buildable from a textual spec:
+// stable name, resolvable from a textual spec into that engine's
+// prefetch.Config:
 //
 //	name[:key=value[,key=value...]]
 //
 // e.g. "pangloss", "stride:degree=4,distance=20", "markov:entries=8192".
-// The spec is the unit of configuration everywhere engines are selected:
-// sim.Config.Engine, cdpsim's -engine flag, and the cdpd arena sweep. It is
-// deliberately a flat string so the simcache content key hashes it without
-// new encoder cases, and so an engine plus its parameters is one
+// The spec is how engines are selected by text: cdpsim's -engine flag,
+// the HTTP request's "engine" field, and the cdpd arena sweep. A Spec is
+// itself a prefetch.Config, so sim.Config.WithEngine appends it to the
+// engine chain as it is, and it reaches the simcache content key as one
 // copy-pasteable token.
 package registry
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -69,8 +71,9 @@ type Entry struct {
 	// Keys are the parameter names the builder accepts; anything else in
 	// a spec is rejected before the builder runs.
 	Keys []string
-	// Build constructs the engine from parsed parameters.
-	Build func(ps Params) (prefetch.Prefetcher, error)
+	// Config resolves parsed parameters into the engine's configuration;
+	// Resolve validates it.
+	Config func(ps Params) (prefetch.Config, error)
 }
 
 // entries is the zoo, kept sorted by name so Names() needs no sort and
@@ -80,7 +83,7 @@ var entries = []Entry{
 		Name: "bestoffset",
 		Doc:  "best-offset spatial prefetcher (Michaud HPCA'16): learns the one line offset that best predicts the L2 miss stream",
 		Keys: []string{"rr", "round", "scoremax", "badscore", "degree"},
-		Build: func(ps Params) (prefetch.Prefetcher, error) {
+		Config: func(ps Params) (prefetch.Config, error) {
 			cfg := prefetch.DefaultBestOffsetConfig
 			var err error
 			if cfg.RRSize, err = ps.intOr("rr", cfg.RRSize); err != nil {
@@ -98,17 +101,14 @@ var entries = []Entry{
 			if cfg.Degree, err = ps.intOr("degree", cfg.Degree); err != nil {
 				return nil, err
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return prefetch.NewBestOffset(cfg), nil
+			return cfg, nil
 		},
 	},
 	{
 		Name: "cdp",
 		Doc:  "stateless content-directed prefetcher (the paper): scans filled lines for pointer-shaped words and chases them",
 		Keys: []string{"depth", "next", "prev", "reinforce"},
-		Build: func(ps Params) (prefetch.Prefetcher, error) {
+		Config: func(ps Params) (prefetch.Config, error) {
 			cfg := core.DefaultConfig
 			var err error
 			if cfg.DepthThreshold, err = ps.intOr("depth", cfg.DepthThreshold); err != nil {
@@ -123,33 +123,27 @@ var entries = []Entry{
 			if cfg.Reinforce, err = ps.boolOr("reinforce", cfg.Reinforce); err != nil {
 				return nil, err
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return newCDPEngine(cfg), nil
+			return cfg, nil
 		},
 	},
 	{
 		Name: "markov",
 		Doc:  "Joseph & Grunwald Markov STAB (ISCA'97): address-keyed successor table over the L2 miss stream, fanout 4",
 		Keys: []string{"entries"},
-		Build: func(ps Params) (prefetch.Prefetcher, error) {
+		Config: func(ps Params) (prefetch.Config, error) {
 			cfg := markov.Config{MaxEntries: markov.EntriesForBudget(512 * 1024)}
 			var err error
 			if cfg.MaxEntries, err = ps.intOr("entries", cfg.MaxEntries); err != nil {
 				return nil, err
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return markov.New(cfg), nil
+			return cfg, nil
 		},
 	},
 	{
 		Name: "pangloss",
 		Doc:  "Pangloss-style compressed Markov delta predictor (arXiv 1906.00877): delta-transition table walked as a prediction chain",
 		Keys: []string{"rows", "slots", "degree", "minconf", "maxconf"},
-		Build: func(ps Params) (prefetch.Prefetcher, error) {
+		Config: func(ps Params) (prefetch.Config, error) {
 			cfg := prefetch.DefaultPanglossConfig
 			var err error
 			if cfg.Rows, err = ps.intOr("rows", cfg.Rows); err != nil {
@@ -173,17 +167,14 @@ var entries = []Entry{
 				return nil, fmt.Errorf("prefetch registry: pangloss confidence outside [0,255]")
 			}
 			cfg.MinConfidence, cfg.MaxConfidence = uint8(minConf), uint8(maxConf)
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return prefetch.NewPangloss(cfg), nil
+			return cfg, nil
 		},
 	},
 	{
 		Name: "stride",
 		Doc:  "reference-prediction-table stride prefetcher (the paper's baseline machine): 2-delta confirmed strides on the L1 miss stream",
 		Keys: []string{"entries", "degree", "distance"},
-		Build: func(ps Params) (prefetch.Prefetcher, error) {
+		Config: func(ps Params) (prefetch.Config, error) {
 			cfg := prefetch.DefaultStrideConfig
 			var err error
 			if cfg.TableEntries, err = ps.intOr("entries", cfg.TableEntries); err != nil {
@@ -195,10 +186,7 @@ var entries = []Entry{
 			if cfg.Distance, err = ps.intOr("distance", cfg.Distance); err != nil {
 				return nil, err
 			}
-			if err := cfg.Validate(); err != nil {
-				return nil, err
-			}
-			return prefetch.NewStride(cfg), nil
+			return cfg, nil
 		},
 	},
 }
@@ -248,10 +236,10 @@ func ParseSpec(spec string) (string, Params, error) {
 	return name, ps, nil
 }
 
-// Build constructs an engine from a spec. Unknown engine names report the
-// valid ones (callers surface this verbatim: sim.Config.Validate, cdpsim's
-// exit-2 path, the arena's 400s).
-func Build(spec string) (prefetch.Prefetcher, error) {
+// Resolve turns a spec into its engine's validated configuration. Unknown
+// engine names report the valid ones (callers surface this verbatim:
+// sim.Config.Validate, cdpsim's exit-2 path, the arena's 400s).
+func Resolve(spec string) (prefetch.Config, error) {
 	name, ps, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
@@ -262,33 +250,49 @@ func Build(spec string) (prefetch.Prefetcher, error) {
 			name, strings.Join(Names(), ", "))
 	}
 	for _, p := range ps {
-		known := false
-		for _, k := range e.Keys {
-			if k == p.Key {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(e.Keys, p.Key) {
 			return nil, fmt.Errorf("prefetch registry: engine %q has no parameter %q (valid: %s)",
 				name, p.Key, strings.Join(e.Keys, ", "))
 		}
 	}
-	return e.Build(ps)
+	cfg, err := e.Config(ps)
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return cfg, nil
 }
 
 // Validate reports whether a spec names a registered engine with
 // well-formed parameters.
-func Validate(spec string) error {
-	_, err := Build(spec)
+func Validate(spec string) error { return Spec(spec).Validate() }
+
+// Spec is an engine spec used as a chain member: it resolves through the
+// registry whenever it is validated or built, so the engine it names is
+// constructed by that engine's own Config.
+type Spec string
+
+var _ prefetch.Config = Spec("")
+
+// Validate reports whether the spec resolves.
+func (s Spec) Validate() error {
+	_, err := Resolve(string(s))
 	return err
 }
 
-// MustBuild is Build for specs that already passed Validate.
-func MustBuild(spec string) prefetch.Prefetcher {
-	eng, err := Build(spec)
+// New builds the engine; it panics on a spec Validate rejects.
+func (s Spec) New() prefetch.Prefetcher { return s.mustResolve().New() }
+
+// Stream is the resolved engine's stream; it panics on a spec Validate
+// rejects.
+func (s Spec) Stream() prefetch.Stream { return s.mustResolve().Stream() }
+
+func (s Spec) mustResolve() prefetch.Config {
+	cfg, err := Resolve(string(s))
 	if err != nil {
 		panic(err)
 	}
-	return eng
+	return cfg
 }

@@ -11,11 +11,7 @@
 // the L1 miss stream, as in Figure 6 of the paper.
 package prefetch
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // StrideConfig sizes the reference-prediction table.
 type StrideConfig struct {
@@ -38,6 +34,12 @@ func (c StrideConfig) Validate() error {
 	}
 	return nil
 }
+
+// New builds the stride engine.
+func (c StrideConfig) New() Prefetcher { return NewStride(c) }
+
+// Stream: the RPT monitors the L1 miss stream.
+func (c StrideConfig) Stream() Stream { return StreamL1 }
 
 // DefaultStrideConfig is a plausible contemporary stride engine: 256
 // entries, two prefetches per steady miss, running 40 strides ahead —
@@ -173,8 +175,15 @@ func (s *Stride) String() string {
 	return fmt.Sprintf("stride{%d entries, degree %d}", s.cfg.TableEntries, s.cfg.Degree)
 }
 
-// EntryState is one valid reference-prediction-table entry in a State.
-type EntryState struct {
+// strideState is the stride engine's checkpoint payload: the valid
+// reference-prediction-table entries and the counters.
+type strideState struct {
+	Observed  uint64
+	Predicted uint64
+	Entries   []strideEntryState
+}
+
+type strideEntryState struct {
 	Index    uint32 // direct-mapped table slot
 	PC       uint32
 	LastAddr uint32
@@ -182,31 +191,26 @@ type EntryState struct {
 	Phase    uint8 // INIT/TRANSIENT/STEADY
 }
 
-// State is a checkpointable deep copy of the stride engine's mutable
-// contents.
-type State struct {
-	Observed  uint64
-	Predicted uint64
-	Entries   []EntryState
-}
-
-// State snapshots the reference prediction table.
-func (s *Stride) State() State {
-	st := State{Observed: s.observed, Predicted: s.predicted}
+// MarshalState serialises the table for checkpointing.
+func (s *Stride) MarshalState() ([]byte, error) {
+	st := strideState{Observed: s.observed, Predicted: s.predicted}
 	for i := range s.table {
-		if s.table[i].valid {
-			e := &s.table[i]
-			st.Entries = append(st.Entries, EntryState{
+		if e := &s.table[i]; e.valid {
+			st.Entries = append(st.Entries, strideEntryState{
 				Index: uint32(i), PC: e.pc, LastAddr: e.lastAddr, Stride: e.stride, Phase: e.state,
 			})
 		}
 	}
-	return st
+	return EncodeState(st)
 }
 
-// Restore overwrites the table with a previously captured State. The table
-// must have the geometry the state was captured from.
-func (s *Stride) Restore(st State) error {
+// UnmarshalState restores a MarshalState payload into a same-geometry
+// engine.
+func (s *Stride) UnmarshalState(data []byte) error {
+	var st strideState
+	if err := DecodeState(data, &st); err != nil {
+		return err
+	}
 	for i := range s.table {
 		s.table[i] = strideEntry{}
 	}
@@ -224,23 +228,4 @@ func (s *Stride) Restore(st State) error {
 	s.observed = st.Observed
 	s.predicted = st.Predicted
 	return nil
-}
-
-// MarshalState serialises the table for checkpointing (gob of State).
-func (s *Stride) MarshalState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.State()); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalState restores a MarshalState payload into a same-geometry
-// engine.
-func (s *Stride) UnmarshalState(data []byte) error {
-	var st State
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return err
-	}
-	return s.Restore(st)
 }

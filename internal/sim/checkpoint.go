@@ -14,14 +14,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/faultinject"
-	"repro/internal/markov"
-	"repro/internal/prefetch"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -52,15 +51,18 @@ type MemState struct {
 	Bus        bus.State
 	L1, L2     cache.State
 	TLB        tlb.State
-	Stride     *prefetch.State
-	Content    *core.State
-	Markov     *markov.State
-	// AuxEngine pins the registry spec the Aux blob was captured from;
-	// Aux is the cfg.Engine entrant's opaque MarshalState payload. The
-	// interface owns the encoding, so new zoo entrants checkpoint without
-	// touching this struct again.
-	AuxEngine string
-	Aux       []byte
+	// Engines is the engine chain's state, one entry per cfg.Prefetchers
+	// member in order. Each engine owns its encoding, so a new engine
+	// checkpoints without touching this struct.
+	Engines []EngineState
+}
+
+// EngineState is one chain member's checkpoint: the engine's String() at
+// construction, which pins its kind and geometry, and its MarshalState
+// payload.
+type EngineState struct {
+	Engine string
+	State  []byte
 }
 
 // state snapshots a quiesced memory system; it fails if anything is in
@@ -79,40 +81,31 @@ func (ms *MemSystem) state() (MemState, error) {
 		L2:         ms.l2.State(),
 		TLB:        ms.dtlb.State(),
 	}
-	if ms.stride != nil {
-		s := ms.stride.State()
-		st.Stride = &s
-	}
-	if ms.cdp != nil {
-		s := ms.cdp.State()
-		st.Content = &s
-	}
-	if ms.mkv != nil {
-		s := ms.mkv.State()
-		st.Markov = &s
-	}
-	if ms.aux != nil {
-		data, err := ms.aux.MarshalState()
+	for _, p := range ms.ports {
+		data, err := p.eng.MarshalState()
 		if err != nil {
-			return MemState{}, err
+			return MemState{}, fmt.Errorf("sim: checkpointing engine %s: %w", p.name, err)
 		}
-		st.AuxEngine = ms.cfg.Engine
-		st.Aux = data
+		st.Engines = append(st.Engines, EngineState{Engine: p.name, State: data})
 	}
 	return st, nil
 }
 
 // restore loads a quiesce-point snapshot into a freshly built memory
-// system. The snapshot's prefetcher set must match the configuration's.
+// system. The snapshot's engine chain must match the configuration's in
+// length, order and geometry.
 func (ms *MemSystem) restore(st MemState) error {
-	if (st.Stride != nil) != (ms.stride != nil) ||
-		(st.Content != nil) != (ms.cdp != nil) ||
-		(st.Markov != nil) != (ms.mkv != nil) ||
-		(st.Aux != nil) != (ms.aux != nil) {
-		return fmt.Errorf("sim: snapshot prefetcher set does not match the configuration")
+	snap := make([]string, len(st.Engines))
+	for i, e := range st.Engines {
+		snap[i] = e.Engine
 	}
-	if ms.aux != nil && st.AuxEngine != ms.cfg.Engine {
-		return fmt.Errorf("sim: snapshot engine %q does not match configured engine %q", st.AuxEngine, ms.cfg.Engine)
+	cfg := make([]string, len(ms.ports))
+	for i, p := range ms.ports {
+		cfg[i] = p.name
+	}
+	if !slices.Equal(snap, cfg) {
+		return fmt.Errorf("sim: snapshot engine chain [%s] does not match the configured [%s]",
+			strings.Join(snap, ", "), strings.Join(cfg, ", "))
 	}
 	if err := ms.l1.Restore(st.L1); err != nil {
 		return err
@@ -123,24 +116,9 @@ func (ms *MemSystem) restore(st MemState) error {
 	if err := ms.dtlb.Restore(st.TLB); err != nil {
 		return err
 	}
-	if ms.stride != nil {
-		if err := ms.stride.Restore(*st.Stride); err != nil {
-			return err
-		}
-	}
-	if ms.cdp != nil {
-		if err := ms.cdp.Restore(*st.Content); err != nil {
-			return err
-		}
-	}
-	if ms.mkv != nil {
-		if err := ms.mkv.Restore(*st.Markov); err != nil {
-			return err
-		}
-	}
-	if ms.aux != nil {
-		if err := ms.aux.UnmarshalState(st.Aux); err != nil {
-			return err
+	for i, p := range ms.ports {
+		if err := p.eng.UnmarshalState(st.Engines[i].State); err != nil {
+			return fmt.Errorf("sim: restoring engine %s: %w", p.name, err)
 		}
 	}
 	ms.fsb.Restore(st.Bus)
@@ -178,7 +156,7 @@ type Snapshot struct {
 
 // snapshotMagic versions the serialized stream; bump it when Snapshot's
 // shape changes incompatibly.
-const snapshotMagic = "cdpsnap1"
+const snapshotMagic = "cdpsnap2"
 
 // WriteSnapshot serializes s to w behind a version header.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {

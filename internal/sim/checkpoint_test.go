@@ -159,7 +159,7 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 		t.Fatal("off-boundary snapshot accepted")
 	}
 	bare := cfg
-	bare.Content = nil
+	bare.Prefetchers = cfg.Prefetchers[:1] // stride alone: the CDP dropped
 	bare.Name = cfg.Name
 	if _, err := Resume(ck, bare, snap, nil); err == nil {
 		t.Fatal("prefetcher-set mismatch accepted")

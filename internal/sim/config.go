@@ -1,13 +1,16 @@
 // Package sim assembles the full performance model: the out-of-order core
 // of internal/cpu in front of an event-driven memory system wiring together
 // the DL1, the DTLB with its hardware page walker, the unified L2, the L2
-// and bus arbiters, the front-side bus, and the three prefetchers (stride
-// baseline, content-directed, Markov). The microarchitecture follows
-// Figure 6 of the paper; the numbers follow Table 1.
+// and bus arbiters, the front-side bus, and an ordered chain of prefetch
+// engines (the stride baseline, then whichever of the content-directed
+// prefetcher, the Markov comparator and the zoo entrants a configuration
+// attaches). The microarchitecture follows Figure 6 of the paper; the
+// numbers follow Table 1.
 package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -44,21 +47,13 @@ type Config struct {
 	L2QueueSize  int
 	BusQueueSize int
 
-	// Stride enables the baseline stride prefetcher (present in every
-	// configuration the paper evaluates).
-	Stride *prefetch.StrideConfig
-	// Content enables the content-directed prefetcher.
-	Content *core.Config
-	// Markov enables the Markov comparator of Section 5.
-	Markov *markov.Config
-	// Engine attaches one additional zoo entrant by registry spec
-	// ("pangloss", "bestoffset:degree=2", ... — see
-	// internal/prefetch/registry). The engine observes the miss stream its
-	// registration declares and issues at Markov arbitration rank,
-	// accounted under the markov prefetch source. A flat string keeps the
-	// engine and its parameters inside the simcache content hash with no
-	// new encoder cases. Empty attaches nothing.
-	Engine string
+	// Prefetchers is the engine chain, one prefetch.Config per engine, in
+	// precedence order: an L1- or L2-miss engine sees PriorIssued when an
+	// engine before it issued for the same reference (the paper's
+	// stride-blocks-Markov rule). At most one member may scan fills; that
+	// is the content-directed prefetcher. The order is part of the
+	// machine, and so of the simcache content key.
+	Prefetchers []prefetch.Config
 
 	// InjectBadPrefetches floods every idle bus cycle with a useless
 	// prefetch, reproducing the pollution limit study of Section 3.5.
@@ -106,22 +101,28 @@ func Default() Config {
 		L2QueueSize:  128,
 		BusQueueSize: 32,
 
-		Stride: &prefetch.DefaultStrideConfig,
+		Prefetchers: []prefetch.Config{prefetch.DefaultStrideConfig},
 
 		WarmupOps:     150_000,
 		MPTUBucketOps: 25_000,
 	}
 }
 
+// with returns c with engine p appended to its chain. The append goes to a
+// clipped copy, so configurations derived from one base never share a
+// backing array.
+func (c Config) with(p prefetch.Config) Config {
+	c.Prefetchers = append(slices.Clip(c.Prefetchers), p)
+	return c
+}
+
 // WithContent returns c with the content prefetcher enabled using the given
 // policy.
 func (c Config) WithContent(p core.Config) Config {
-	cp := p
-	cp.LineSize = c.L2.LineSize
-	c.Content = &cp
-	c.Name = fmt.Sprintf("%s+cdp(%s,d%d,p%d.n%d,reinf=%v)", c.Name, cp.Match,
-		cp.DepthThreshold, cp.PrevLines, cp.NextLines, cp.Reinforce)
-	return c
+	p.LineSize = c.L2.LineSize
+	c.Name = fmt.Sprintf("%s+cdp(%s,d%d,p%d.n%d,reinf=%v)", c.Name, p.Match,
+		p.DepthThreshold, p.PrevLines, p.NextLines, p.Reinforce)
+	return c.with(p)
 }
 
 // WithMarkov returns c with the Markov prefetcher enabled and the UL2
@@ -132,19 +133,18 @@ func (c Config) WithMarkov(stabBudgetBytes int, l2 cache.Config) Config {
 	if stabBudgetBytes > 0 {
 		mc.MaxEntries = markov.EntriesForBudget(stabBudgetBytes)
 	}
-	c.Markov = &mc
 	c.L2 = l2
 	c.Name = fmt.Sprintf("%s+markov(%dKB stab,%dKB ul2)", c.Name,
 		stabBudgetBytes/1024, l2.SizeBytes/1024)
-	return c
+	return c.with(mc)
 }
 
-// WithEngine returns c with an additional zoo entrant attached by registry
-// spec.
+// WithEngine returns c with the engine a registry spec names appended
+// ("pangloss", "bestoffset:degree=2", "cdp", ... — see
+// internal/prefetch/registry).
 func (c Config) WithEngine(spec string) Config {
-	c.Engine = spec
 	c.Name = fmt.Sprintf("%s+%s", c.Name, spec)
-	return c
+	return c.with(registry.Spec(spec))
 }
 
 // Validate checks every configuration field and their cross-field
@@ -173,29 +173,20 @@ func (c Config) Validate() error {
 	if c.L2QueueSize <= 0 || c.BusQueueSize <= 0 {
 		return fmt.Errorf("sim: non-positive queue size")
 	}
-	if c.Stride != nil {
-		if err := c.Stride.Validate(); err != nil {
+	fills := 0
+	for i, p := range c.Prefetchers {
+		if p == nil {
+			return fmt.Errorf("sim: prefetcher %d is nil", i)
+		}
+		if err := p.Validate(); err != nil {
 			return err
+		}
+		if p.Stream() == prefetch.StreamFill {
+			fills++
 		}
 	}
-	if c.Content != nil {
-		if err := c.Content.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Markov != nil {
-		if err := c.Markov.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.Engine != "" {
-		eng, err := registry.Build(c.Engine)
-		if err != nil {
-			return err
-		}
-		if eng.Stream() == prefetch.StreamFill {
-			return fmt.Errorf("sim: engine %q scans fills; enable the content prefetcher via Content instead", c.Engine)
-		}
+	if fills > 1 {
+		return fmt.Errorf("sim: %d fill-stream engines attached; the memory system drives at most one", fills)
 	}
 	if c.MaxOps < 0 {
 		return fmt.Errorf("sim: negative µop bound %d", c.MaxOps)

@@ -6,10 +6,8 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/markov"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
-	"repro/internal/prefetch/registry"
 	"repro/internal/simtrace"
 	"repro/internal/stats"
 	"repro/internal/tlb"
@@ -33,18 +31,14 @@ type MemSystem struct {
 	l2q  *bus.Arbiter
 	busq *bus.Arbiter
 
-	// stride and mkv keep typed handles for checkpointing and the tuning
-	// experiments; aux is the cfg.Engine zoo entrant. All miss-stream
-	// engines are *driven* only through ports, the ordered Prefetcher
-	// chain (stride first, then the L2-stream engines), so adding an
-	// engine to the zoo never touches the observe code again. The CDP is
-	// not in the chain: its stored-depth/rescan coupling with the cache
-	// needs the full core.Prefetcher surface (see DESIGN.md §12).
-	stride *prefetch.Stride
-	cdp    *core.Prefetcher
-	mkv    *markov.Markov
-	aux    prefetch.Prefetcher
-	ports  []enginePort
+	// ports is the engine chain, cfg.Prefetchers built in order. The
+	// miss-stream engines are driven only through it, so adding one to the
+	// zoo never touches the observe code. The one fill-stream engine, the
+	// CDP, is also driven through its concrete type: the stored-depth
+	// promotion, rescan and chain lineage below need each candidate's
+	// depth, which the Observe vocabulary does not carry (DESIGN.md §12).
+	cdp   *core.Prefetcher
+	ports []enginePort
 
 	// engBuf is the scratch slice engine predictions are appended into;
 	// reused across Observe calls so the steady-state miss path allocates
@@ -135,35 +129,39 @@ func NewMemSystem(cfg *Config, space *mem.AddressSpace, st *stats.Counters, mptu
 		st:           st,
 		mptu:         mptu,
 	}
-	if cfg.Stride != nil {
-		ms.stride = prefetch.NewStride(*cfg.Stride)
-		ms.ports = append(ms.ports, enginePort{eng: ms.stride, class: bus.ClassStride})
-	}
-	if cfg.Content != nil {
-		ms.cdp = core.New(*cfg.Content)
-	}
-	if cfg.Markov != nil {
-		ms.mkv = markov.New(*cfg.Markov)
-		ms.ports = append(ms.ports, enginePort{eng: ms.mkv, class: bus.ClassMarkov})
-	}
-	if cfg.Engine != "" {
-		// Validate (above) already proved the spec builds a miss-stream
-		// engine. Zoo entrants issue at Markov arbitration rank and are
-		// accounted under the markov prefetch source: adding a bus class
-		// and a cache source per entrant would grow every per-source
-		// report table (and its goldens) for no modelled difference.
-		ms.aux = registry.MustBuild(cfg.Engine)
-		ms.ports = append(ms.ports, enginePort{eng: ms.aux, class: bus.ClassMarkov})
+	for _, pc := range cfg.Prefetchers {
+		eng := pc.New()
+		port := enginePort{eng: eng, name: eng.String(), stream: eng.Stream(), class: bus.ClassMarkov}
+		switch e := eng.(type) {
+		case *prefetch.Stride:
+			port.class = bus.ClassStride
+		case *core.Prefetcher:
+			ms.cdp, port.class = e, bus.ClassContent
+		default:
+			// Zoo entrants issue at Markov arbitration rank and are
+			// accounted under the markov prefetch source: a bus class and
+			// cache source per entrant would grow every per-source report
+			// table (and its goldens) for no modelled difference.
+			if port.stream == prefetch.StreamFill {
+				panic(fmt.Sprintf("sim: fill-stream engine %s is not the content prefetcher", port.name))
+			}
+		}
+		ms.ports = append(ms.ports, port)
 	}
 	ms.engBuf = make([]uint32, 0, 16)
 	ms.sched.ms = ms
 	return ms
 }
 
-// enginePort binds a zoo engine to the bus class its predictions issue at.
+// enginePort binds a chain member to the bus class its predictions issue
+// at. name is the engine's String() at construction, the identity a
+// checkpoint records; stream caches the engine's declaration for the miss
+// loops.
 type enginePort struct {
-	eng   prefetch.Prefetcher
-	class bus.Class
+	eng    prefetch.Prefetcher
+	name   string
+	stream prefetch.Stream
+	class  bus.Class
 }
 
 // newRequest returns a zeroed request, recycling one retired by fillArrive
@@ -191,10 +189,6 @@ func (ms *MemSystem) releaseRequest(req *bus.Request) {
 	}
 	ms.reqFree = append(ms.reqFree, req)
 }
-
-// Content returns the content prefetcher (nil if disabled); experiments use
-// it for scanner-activity stats.
-func (ms *MemSystem) Content() *core.Prefetcher { return ms.cdp }
 
 // TLBStats exposes translation hit/miss counts.
 func (ms *MemSystem) TLBStats() (hits, misses uint64) { return ms.dtlb.Stats() }
@@ -302,7 +296,7 @@ func (ms *MemSystem) observeL1Miss(cycle int64, pc, va uint32) bool {
 	issued := false
 	for i := range ms.ports {
 		p := &ms.ports[i]
-		if p.eng.Stream() != prefetch.StreamL1 {
+		if p.stream != prefetch.StreamL1 {
 			continue
 		}
 		preds := p.eng.Observe(prefetch.Event{PC: pc, VA: va, PriorIssued: issued}, ms.engBuf[:0])
@@ -323,7 +317,7 @@ func (ms *MemSystem) observeL2Miss(slot int64, va uint32, priorIssued bool) {
 	prior := priorIssued
 	for i := range ms.ports {
 		p := &ms.ports[i]
-		if p.eng.Stream() != prefetch.StreamL2 {
+		if p.stream != prefetch.StreamL2 {
 			continue
 		}
 		preds := p.eng.Observe(prefetch.Event{VA: lineBase(va), PriorIssued: prior}, ms.engBuf[:0])

@@ -111,15 +111,18 @@ type encoder struct{ h hash.Hash }
 // Kind tags. The gap between scalar kinds and structure kinds is cosmetic;
 // only distinctness matters.
 const (
-	tagBool   = 1
-	tagInt    = 2
-	tagUint   = 3
-	tagFloat  = 4
-	tagString = 5
-	tagNilPtr = 6
-	tagPtr    = 7
-	tagStruct = 8
-	tagArray  = 9
+	tagBool     = 1
+	tagInt      = 2
+	tagUint     = 3
+	tagFloat    = 4
+	tagString   = 5
+	tagNilPtr   = 6
+	tagPtr      = 7
+	tagStruct   = 8
+	tagArray    = 9
+	tagSlice    = 10
+	tagNilIface = 11
+	tagIface    = 12
 )
 
 func (e encoder) byte(b byte) { e.h.Write([]byte{b}) }
@@ -152,10 +155,13 @@ func (e encoder) boolean(b bool) {
 }
 
 // value encodes v recursively. Configuration types are compositions of
-// scalars, strings, structs, arrays, and pointers to such; any other kind
-// (map, slice, func, chan, interface) has no canonical form and panics, so
-// adding an unhashable field to sim.Config fails loudly in the simcache
-// tests rather than silently aliasing cache entries.
+// scalars, strings, structs, arrays, slices, pointers and interfaces. A
+// slice is length-prefixed, so a nil and an empty slice encode alike. An
+// interface is tagged with its dynamic type's package path and name, so
+// two config types with identical fields never collide. Any other kind
+// (map, func, chan) has no canonical form and panics, so adding an
+// unhashable field to sim.Config fails loudly in the simcache tests rather
+// than silently aliasing cache entries.
 func (e encoder) value(v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
@@ -187,12 +193,26 @@ func (e encoder) value(v reflect.Value) {
 			e.str(t.Field(i).Name)
 			e.value(v.Field(i))
 		}
-	case reflect.Array:
-		e.byte(tagArray)
+	case reflect.Array, reflect.Slice:
+		tag := byte(tagArray)
+		if v.Kind() == reflect.Slice {
+			tag = tagSlice
+		}
+		e.byte(tag)
 		e.u64(uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
 			e.value(v.Index(i))
 		}
+	case reflect.Interface:
+		if v.IsNil() {
+			e.byte(tagNilIface)
+			return
+		}
+		t := v.Elem().Type()
+		e.byte(tagIface)
+		e.str(t.PkgPath())
+		e.str(t.String())
+		e.value(v.Elem())
 	default:
 		panic(fmt.Sprintf("simcache: cannot canonically hash kind %s (type %s)", v.Kind(), v.Type()))
 	}
