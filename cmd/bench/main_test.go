@@ -13,25 +13,32 @@ var update = flag.Bool("update", false, "rewrite the golden verdict files")
 
 // TestVerdictFixtures drives `bench -verdict` over synthetic trajectory
 // fixtures and pins both the exit code and the rendered verdict. The
-// breach fixtures are how CI proves the gate actually fails — by feeding
+// breach fixtures are how CI proves the gate actually fails: by feeding
 // it a known regression, not by regressing the repo.
 func TestVerdictFixtures(t *testing.T) {
 	cases := []struct {
-		name     string
-		wantCode int
+		name, against string
+		wantCode      int
 	}{
-		{"improved", 0},      // everything got faster
-		{"drift", 0},         // slower, but inside every tolerance
-		{"sims_breach", 1},   // fig9 throughput -15% > 10% budget
-		{"alloc_breach", 1},  // hot-path allocs/op +3 > zero-growth budget
-		{"missing_field", 0}, // gates without baseline data skip, loudly
+		{"improved", "BENCH_base", 0},       // everything got faster
+		{"drift", "BENCH_base", 0},          // slower, but inside every bound
+		{"uops_breach", "BENCH_base", 1},    // pointer-sweep uops_per_s -30% > 25% bound
+		{"speedup_breach", "BENCH_base", 1}, // cdp_speedup -2% > 1% bound, gated across environments
+		{"failed_ops", "BENCH_base", 1},     // one failed cdpd-mix op
+		{"alloc_breach", "BENCH_base", 1},   // hot-path allocs/op +3 > zero-growth budget, gated across environments
+		{"missing_field", "BENCH_base", 0},  // gates without data on both sides skip, loudly
+		{"v2_baseline", "BENCH_v2", 0},      // pre-perfbench baseline: only the hot path gates
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			current := tc.name
+			if tc.name == "v2_baseline" {
+				current = "improved"
+			}
 			var buf bytes.Buffer
 			code := runVerdict(&buf,
-				filepath.Join("testdata", tc.name+".json"),
-				filepath.Join("testdata", "BENCH_base.json"))
+				filepath.Join("testdata", current+".json"),
+				filepath.Join("testdata", tc.against+".json"))
 			if code != tc.wantCode {
 				t.Errorf("exit code = %d, want %d\n%s", code, tc.wantCode, buf.String())
 			}

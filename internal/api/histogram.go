@@ -3,6 +3,8 @@ package api
 import (
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -20,10 +22,23 @@ type histogram struct {
 	count  atomic.Uint64
 }
 
-// latencyBuckets spans sub-millisecond cache probes to multi-minute
-// simulations; the same scale serves all three cdpd latency series so
-// dashboards can overlay them.
-var latencyBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
+// latencyBuckets is a log-spaced ladder of four bounds per doubling, from
+// 0.25 ms (sub-millisecond cache probes) to past 60 s (multi-minute
+// simulations), so a quantile interpolated inside a bucket is off by at most
+// the bucket's ~19% width. Bounds are rounded to three significant digits to
+// keep the exposition's le labels short. The same scale serves all three
+// cdpd latency series so dashboards can overlay them.
+var latencyBuckets = func() []float64 {
+	var bounds []float64
+	for k := 0; ; k++ {
+		b := 0.25e-3 * math.Exp2(float64(k)/4)
+		b, _ = strconv.ParseFloat(strconv.FormatFloat(b, 'g', 3, 64), 64) // a 'g' rendering always parses
+		bounds = append(bounds, b)
+		if b >= 60 {
+			return bounds
+		}
+	}
+}()
 
 func newHistogram(bounds []float64) *histogram {
 	return &histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds))}
@@ -31,12 +46,8 @@ func newHistogram(bounds []float64) *histogram {
 
 // Observe records one duration.
 func (h *histogram) Observe(d time.Duration) {
-	s := d.Seconds()
-	for i, b := range h.bounds {
-		if s <= b {
-			h.counts[i].Add(1)
-			break
-		}
+	if i := sort.SearchFloat64s(h.bounds, d.Seconds()); i < len(h.bounds) {
+		h.counts[i].Add(1)
 	}
 	h.sumNs.Add(d.Nanoseconds())
 	h.count.Add(1)
@@ -62,11 +73,10 @@ func formatBound(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)
 }
 
-// HistogramSnapshot is a point-in-time copy of one latency histogram, the
-// in-process analogue of scraping /metrics: cumulative-free per-bucket
-// counts plus sum and count. The bench suite's cluster jobs read these to
-// reconcile server-observed latency against client-side measurements
-// without an HTTP round trip perturbing what they measure.
+// HistogramSnapshot is the observations one latency histogram made over
+// some interval: per-bucket (not cumulative) counts plus sum and count.
+// perfbench builds these from paired /metrics scrapes and reads quantiles
+// from them with Quantile.
 type HistogramSnapshot struct {
 	// Bounds are bucket upper limits in seconds, ascending; Counts[i] is
 	// the observations at or below Bounds[i] and above Bounds[i-1]. An
@@ -75,37 +85,6 @@ type HistogramSnapshot struct {
 	Counts  []uint64
 	SumSecs float64
 	Count   uint64
-}
-
-// snapshot copies the histogram's atomics. Concurrent Observe calls may
-// land between loads, so the snapshot is consistent only to within the
-// traffic in flight at the instant of the call — fine for the bench
-// reconciliation, which snapshots quiesced servers.
-func (h *histogram) snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Bounds:  append([]float64(nil), h.bounds...),
-		Counts:  make([]uint64, len(h.bounds)),
-		SumSecs: float64(h.sumNs.Load()) / 1e9,
-		Count:   h.count.Load(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	return s
-}
-
-// Merge accumulates another snapshot with identical bounds into this one,
-// aggregating per-worker histograms into a cluster-wide view.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) error {
-	if len(o.Bounds) != len(s.Bounds) {
-		return fmt.Errorf("histogram merge: %d buckets vs %d", len(o.Bounds), len(s.Bounds))
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.SumSecs += o.SumSecs
-	s.Count += o.Count
-	return nil
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) in seconds by linear
@@ -136,14 +115,4 @@ func (s *HistogramSnapshot) Quantile(q float64) float64 {
 	// Rank falls in the +Inf bucket: the best bounded estimate is the
 	// largest finite bound.
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// LatencySnapshots exports the server's request-path histograms by their
-// /metrics series names (without the _seconds suffix).
-func (s *Server) LatencySnapshots() map[string]HistogramSnapshot {
-	return map[string]HistogramSnapshot{
-		"cdpd_queue_wait":   s.queueWait.snapshot(),
-		"cdpd_run_duration": s.runDur.snapshot(),
-		"cdpd_cache_lookup": s.cacheLookup.snapshot(),
-	}
 }

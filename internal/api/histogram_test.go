@@ -2,11 +2,25 @@ package api
 
 import (
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/jobq"
 )
+
+// snapshot copies the histogram's atomics, as a scrape of /metrics would.
+func (h *histogram) snapshot() HistogramSnapshot {
+	s := HistogramSnapshot{
+		Bounds:  append([]float64(nil), h.bounds...),
+		Counts:  make([]uint64, len(h.bounds)),
+		SumSecs: float64(h.sumNs.Load()) / 1e9,
+		Count:   h.count.Load(),
+	}
+	for i := range h.counts {
+		s.Counts[i] = h.counts[i].Load()
+	}
+	return s
+}
 
 func TestHistogramSnapshotAndQuantile(t *testing.T) {
 	h := newHistogram(latencyBuckets)
@@ -43,30 +57,6 @@ func TestHistogramSnapshotAndQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotMerge(t *testing.T) {
-	a := newHistogram(latencyBuckets)
-	b := newHistogram(latencyBuckets)
-	a.Observe(2 * time.Millisecond)
-	b.Observe(40 * time.Millisecond)
-	b.Observe(40 * time.Millisecond)
-
-	sa, sb := a.snapshot(), b.snapshot()
-	if err := sa.Merge(sb); err != nil {
-		t.Fatal(err)
-	}
-	if sa.Count != 3 {
-		t.Fatalf("merged count = %d", sa.Count)
-	}
-	if math.Abs(sa.SumSecs-0.082) > 1e-9 {
-		t.Fatalf("merged sum = %v", sa.SumSecs)
-	}
-
-	mismatched := HistogramSnapshot{Bounds: []float64{1}, Counts: []uint64{0}}
-	if err := sa.Merge(mismatched); err == nil {
-		t.Fatal("expected merge error on mismatched bounds")
-	}
-}
-
 func TestHistogramQuantileBeyondLastBound(t *testing.T) {
 	h := newHistogram(latencyBuckets)
 	h.Observe(2 * time.Minute) // beyond the 60s bound: +Inf bucket
@@ -76,16 +66,41 @@ func TestHistogramQuantileBeyondLastBound(t *testing.T) {
 	}
 }
 
-func TestServerLatencySnapshots(t *testing.T) {
-	srv, _ := newTestServer(t, jobq.Config{Workers: 1, Capacity: 4})
-	srv.runDur.Observe(15 * time.Millisecond)
-	snaps := srv.LatencySnapshots()
-	for _, name := range []string{"cdpd_queue_wait", "cdpd_run_duration", "cdpd_cache_lookup"} {
-		if _, ok := snaps[name]; !ok {
-			t.Fatalf("missing series %q in %v", name, snaps)
+// TestLatencyBucketLadder pins the bucket layout: ascending, four bounds
+// per doubling from at most 0.25 ms to at least 60 s, and le labels that
+// render without an exponent so scrapers that re-render a parsed bound
+// (perfbench's histogramDelta) find the same series again.
+func TestLatencyBucketLadder(t *testing.T) {
+	b := latencyBuckets
+	if b[0] > 0.25e-3 || b[len(b)-1] < 60 {
+		t.Fatalf("ladder spans [%g, %g], want from <= 0.00025 to >= 60", b[0], b[len(b)-1])
+	}
+	for i, v := range b {
+		if s := formatBound(v); strings.ContainsAny(s, "eE") {
+			t.Errorf("bound %d renders as %q", i, s)
+		}
+		if i >= 4 {
+			if r := v / b[i-4]; r < 1.98 || r > 2.02 {
+				t.Errorf("bounds %g..%g: four steps span %.3fx, want 2x", b[i-4], v, r)
+			}
 		}
 	}
-	if snaps["cdpd_run_duration"].Count != 1 {
-		t.Fatalf("run_duration count = %d", snaps["cdpd_run_duration"].Count)
+}
+
+// TestHistogramQuantileResolution: a p50 interpolated inside one bucket of
+// the ladder lands within 19% of the true median. Five-fold
+// buckets (1, 5, 25, 100 ms, ...) would read 40 ms here, 33% off.
+func TestHistogramQuantileResolution(t *testing.T) {
+	h := newHistogram(latencyBuckets)
+	var ms []float64
+	for d := 10 * time.Millisecond; d <= 50*time.Millisecond; d += 100 * time.Microsecond {
+		h.Observe(d)
+		ms = append(ms, d.Seconds())
+	}
+	sort.Float64s(ms)
+	want := ms[len(ms)/2]
+	s := h.snapshot()
+	if got := s.Quantile(0.5); math.Abs(got-want)/want > 0.19 {
+		t.Fatalf("p50 = %.4fs, true median %.4fs: off by more than 19%%", got, want)
 	}
 }

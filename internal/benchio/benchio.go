@@ -1,27 +1,22 @@
-// Package benchio defines the schema-versioned benchmark telemetry record
-// cmd/bench emits (BENCH_<n>.json at the repository root) and the helpers
-// for numbering, writing, and reading those files. Keeping the schema in a
-// library package lets tests pin it and future tooling (trend plots, CI
-// regression gates) parse old files by their embedded schema version.
+// Package benchio defines the schema-versioned benchmark record cmd/bench
+// writes (BENCH_<n>.json at the repository root) and the helpers for
+// numbering, writing and reading those files. perfbench also takes its
+// peak-RSS reading from here.
 //
-// Schema v2 (the current version) extends v1 with:
+// Schema v3 (the current version) holds:
 //
-//   - nullable rate fields: wall-only experiments (table1, table3) omit
-//     "sims"/"sims_per_sec" instead of emitting zeros, so trajectory diffs
-//     can tell "not measured" from "zero throughput";
-//   - a nullable "peak_rss_kb" plus an "rss_unsupported" note on platforms
-//     without VmHWM, so verdicts skip RSS comparison instead of flagging a
-//     100% regression;
-//   - per-run profiler summaries (pprof CPU top-N flat%, heap alloc bytes
-//     by site, runtime/trace artifacts) with artifact paths;
-//   - cluster runs reconciling client-observed latency percentiles against
-//     the server's own lock-free histograms;
-//   - the suite name and regression tolerances the run was declared with,
-//     so `bench -verdict` gates against what the suite asked for.
+//   - the environment the report was measured in;
+//   - the hot path: BenchmarkSimulatorUopsPerSecond's ns/op, B/op and
+//     allocs/op;
+//   - per BENCHMARK.json workload, the median of each end-to-end metric
+//     over a fixed number of perfbench runs, whether every run's outputs
+//     were correct, the ops attempted and failed, and each metric's
+//     direction and bound copied from BENCHMARK.json, so a report carries
+//     its own gates.
 //
-// Read accepts both v1 and v2: the regression verdict always compares a
-// fresh v2 report against the previous file in the trajectory, which may
-// predate the bump.
+// Read also accepts v1 and v2. Those measured experiment matrices rather
+// than perfbench workloads and kept the hot path under "after"; Read keeps
+// only their hot-path block.
 package benchio
 
 import (
@@ -34,16 +29,10 @@ import (
 
 // SchemaVersion identifies the report layout. Bump it when a field changes
 // meaning; additive fields may keep the version.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
-// minReadableSchema is the oldest layout Read still understands. v1 differs
-// from v2 only by fields v2 made nullable or added, so one struct decodes
-// both.
+// minReadableSchema is the oldest layout Read still understands.
 const minReadableSchema = 1
-
-// NoteRSSUnsupported is appended to Report.Notes when the platform cannot
-// report a resident-set high-water mark; peak_rss_kb is null in that case.
-const NoteRSSUnsupported = "rss_unsupported"
 
 // Metrics is one benchmark measurement in Go testing units.
 type Metrics struct {
@@ -52,178 +41,55 @@ type Metrics struct {
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 }
 
-// HotPath records the simulator hot-path benchmark before and after the
-// allocation-and-dispatch pass, so the very first report carries its own
-// baseline. BeforeRef names the commit the Before column was measured at.
+// HotPath is the simulator hot-path benchmark's measurement.
 type HotPath struct {
-	Benchmark string  `json:"benchmark"`
-	BeforeRef string  `json:"before_ref"`
-	Before    Metrics `json:"before"`
-	After     Metrics `json:"after"`
-	// Profiles lists profiler captures attached to the hot-path job (v2).
-	Profiles []Profile `json:"profiles,omitempty"`
+	Benchmark string `json:"benchmark"`
+	Metrics
+	// After is where v1 and v2 reports kept the measurement; Read moves
+	// it into Metrics.
+	After *Metrics `json:"after,omitempty"`
 }
 
-// HotFunc is one entry of a CPU profile's top-N table: the flat share of a
-// function (samples attributed to the function itself, not its callees).
-type HotFunc struct {
-	Function string  `json:"function"`
-	FlatPct  float64 `json:"flat_pct"`
-	// Flat is the raw flat value in the profile's unit (nanoseconds for
-	// CPU profiles).
-	Flat int64 `json:"flat"`
+// Workload is the median of a BENCHMARK.json workload's perfbench runs.
+type Workload struct {
+	Name string `json:"name"`
+	Runs int    `json:"runs"`
+	// Correct is true when every run checked its outputs and found them
+	// right; Attempted and Failed sum the runs' op counts.
+	Correct   bool     `json:"correct"`
+	Attempted int      `json:"attempted"`
+	Failed    int      `json:"failed"`
+	Metrics   []Metric `json:"metrics"`
 }
 
-// AllocSite is one entry of a heap profile's allocation table: bytes
-// allocated (alloc_space, lifetime of the profile) attributed to the
-// allocating function.
-type AllocSite struct {
-	Function string `json:"function"`
-	Bytes    int64  `json:"bytes"`
-}
-
-// Profile is one profiler capture attached to a run: where the artifact
-// landed and what its summary says. CPU profiles carry TopHot, heap
-// profiles carry AllocSites/TotalAllocBytes, runtime/trace captures carry
-// only the artifact (the trace is for Perfetto, not for numbers).
-type Profile struct {
-	Kind     string `json:"kind"`     // "cpu", "heap" or "trace"
-	Artifact string `json:"artifact"` // path of the capture, as written
-	Bytes    int64  `json:"bytes"`    // artifact size on disk
-
-	TopHot          []HotFunc   `json:"top_hot,omitempty"`
-	AllocSites      []AllocSite `json:"alloc_sites,omitempty"`
-	TotalAllocBytes int64       `json:"total_alloc_bytes,omitempty"`
-
-	// Note records a non-fatal capture or summary problem ("empty
-	// profile", a parse error); the run itself still counted.
-	Note string `json:"note,omitempty"`
-}
-
-// Experiment is the telemetry for one registered experiment run at the
-// reduced budget.
-type Experiment struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-	// Job names the suite job that ran this experiment (v2; empty in v1
-	// reports and for runs outside a suite).
-	Job string `json:"job,omitempty"`
-	// Rep is the 1-based repetition index when the suite asked for more
-	// than one repetition; omitted for single runs.
-	Rep    int     `json:"rep,omitempty"`
-	WallMS float64 `json:"wall_ms"`
-	// Sims and SimsPerSec are nil for wall-only experiments that run no
-	// simulations (table1, table3): "not measured", not "zero". v1 files
-	// wrote zeros for those; treat both spellings as unmeasured.
-	Sims       *uint64  `json:"sims,omitempty"`
-	SimsPerSec *float64 `json:"sims_per_sec,omitempty"`
-	AllocMB    float64  `json:"alloc_mb"` // heap bytes allocated during the run
-	Allocs     uint64   `json:"allocs"`   // heap objects allocated during the run
-	// Profiles lists the profiler captures attached to this run.
-	Profiles []Profile `json:"profiles,omitempty"`
-}
-
-// Measured reports whether the experiment carries a usable throughput
-// figure. Wall-only experiments omit the fields in v2 and wrote zeros in
-// v1; both mean "do not gate on this".
-func (e *Experiment) Measured() bool {
-	return e.Sims != nil && *e.Sims > 0 && e.SimsPerSec != nil && *e.SimsPerSec > 0
-}
-
-// LatencySummary is one side of a cluster run's latency reconciliation:
-// either the client-observed request latencies or the server's own
-// histogram-derived estimates, in milliseconds.
-type LatencySummary struct {
-	Count uint64  `json:"count"`
-	P50MS float64 `json:"p50_ms"`
-	P90MS float64 `json:"p90_ms"`
-	P99MS float64 `json:"p99_ms"`
-	MaxMS float64 `json:"max_ms,omitempty"`
-}
-
-// ClusterRun is the telemetry of one cluster-kind suite job: a real
-// in-process cdpd cluster (coordinator + workers) driven over HTTP, with
-// the client-observed latency distribution reconciled against the
-// aggregated per-worker run-duration histograms the servers also export
-// on /metrics.
-type ClusterRun struct {
-	Job      string  `json:"job"`
-	Workers  int     `json:"workers"`
-	Requests int     `json:"requests"`
-	Errors   int     `json:"errors"`
-	WallMS   float64 `json:"wall_ms"`
-
-	// Client is measured at the submitting client (full round trip:
-	// routing, queue wait, simulation, response). Server is the cluster's
-	// own view (every worker's run-duration histogram, aggregated), which
-	// can only be faster.
-	Client LatencySummary `json:"client"`
-	Server LatencySummary `json:"server"`
-	// QueueWaitP99MS is the aggregated worker queue-wait tail, the main
-	// legitimate gap between the two views.
-	QueueWaitP99MS float64 `json:"queue_wait_p99_ms"`
-
-	// Consistent is the reconciliation verdict: the servers ran exactly
-	// one simulation per successful request and the client-observed
-	// median is no faster than the server's own estimate.
-	Consistent bool     `json:"consistent"`
-	Notes      []string `json:"notes,omitempty"`
-}
-
-// Tolerance is the per-suite regression budget `bench -verdict` gates
-// with.
-type Tolerance struct {
-	// SimsPerSecDropPct fails the verdict when a measured experiment's
-	// throughput drops by more than this percentage against the baseline.
-	SimsPerSecDropPct float64 `json:"sims_per_sec_drop_pct"`
-	// HotpathAllocGrowthPct fails the verdict when the hot-path
-	// benchmark's allocs/op grows by more than this percentage. The
-	// default 0 means any growth at all fails — the simlint:hotpath
-	// ratchet's contract.
-	HotpathAllocGrowthPct float64 `json:"hotpath_alloc_growth_pct"`
-	// NsPerOpGrowthPct fails the verdict when the hot-path ns/op grows by
-	// more than this percentage (only gated when the environments match).
-	NsPerOpGrowthPct float64 `json:"ns_per_op_growth_pct"`
-}
-
-// DefaultTolerance is used when a suite declares none: 10% sims/sec drop,
-// zero allocs/op growth, 25% ns/op growth.
-var DefaultTolerance = Tolerance{
-	SimsPerSecDropPct:     10,
-	HotpathAllocGrowthPct: 0,
-	NsPerOpGrowthPct:      25,
+// Metric is one end-to-end metric of a workload, with the gate
+// BENCHMARK.json declares for it.
+type Metric struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"` // median over the workload's runs
+	Unit  string  `json:"unit"`
+	// Better is "higher" or "lower"; Bound is the fraction the value may
+	// worsen by before the verdict fails.
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 // Report is one full cmd/bench run.
 type Report struct {
-	Schema      int    `json:"schema"`
-	CreatedUnix int64  `json:"created_unix"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	NumCPU      int    `json:"num_cpu"`
-	// Suite names the declarative suite that produced this report (v2;
-	// empty in v1 reports).
-	Suite string `json:"suite,omitempty"`
-	// Tolerance records the suite's regression budget so the verdict
-	// gates against what the run was declared with.
-	Tolerance *Tolerance `json:"tolerance,omitempty"`
-	// Ops is the per-benchmark µop budget the experiments ran at.
-	Ops int `json:"ops"`
-	// PeakRSSKB is the process high-water resident set after all
-	// experiments (VmHWM). Null — with NoteRSSUnsupported in Notes —
-	// where the platform does not expose it; v1 wrote 0 for that.
-	PeakRSSKB   *uint64      `json:"peak_rss_kb"`
-	Notes       []string     `json:"notes,omitempty"`
-	HotPath     *HotPath     `json:"hot_path,omitempty"`
-	Experiments []Experiment `json:"experiments"`
-	Cluster     []ClusterRun `json:"cluster,omitempty"`
+	Schema      int        `json:"schema"`
+	CreatedUnix int64      `json:"created_unix"`
+	GoVersion   string     `json:"go_version"`
+	GOOS        string     `json:"goos"`
+	GOARCH      string     `json:"goarch"`
+	NumCPU      int        `json:"num_cpu"`
+	HotPath     *HotPath   `json:"hot_path,omitempty"`
+	Workloads   []Workload `json:"workloads,omitempty"`
 }
 
-// EnvComparable reports whether wall-clock-derived metrics (sims/sec,
-// ns/op, RSS) of two reports can be compared at all: same toolchain, same
-// platform, same core count. Allocation counts are deterministic and stay
-// comparable across environments.
+// EnvComparable reports whether wall-clock-derived metrics of two reports
+// can be compared at all: same toolchain, same platform, same core count.
+// Allocation counts and deterministic results stay comparable across
+// environments.
 func EnvComparable(a, b *Report) bool {
 	return a.GoVersion == b.GoVersion && a.GOOS == b.GOOS &&
 		a.GOARCH == b.GOARCH && a.NumCPU == b.NumCPU
@@ -292,8 +158,9 @@ func Write(path string, r *Report) error {
 }
 
 // Read parses one report, rejecting schema versions this code does not
-// understand. Both the current schema and v1 parse; callers that care
-// which layout they got check Report.Schema.
+// understand. A v1 or v2 report comes back with its hot-path measurement
+// in HotPath.Metrics and no workloads; callers that care which layout they
+// got check Report.Schema.
 func Read(path string) (*Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -307,9 +174,8 @@ func Read(path string) (*Report, error) {
 		return nil, fmt.Errorf("benchio: %s: unsupported schema %d (want %d..%d)",
 			path, r.Schema, minReadableSchema, SchemaVersion)
 	}
+	if h := r.HotPath; h != nil && h.After != nil {
+		h.Metrics, h.After = *h.After, nil
+	}
 	return &r, nil
 }
-
-// U64 and F64 build the nullable telemetry fields.
-func U64(v uint64) *uint64   { return &v }
-func F64(v float64) *float64 { return &v }

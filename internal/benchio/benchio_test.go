@@ -15,30 +15,16 @@ func sampleReport() *Report {
 		GOOS:        "linux",
 		GOARCH:      "amd64",
 		NumCPU:      8,
-		Suite:       "default",
-		Tolerance:   &Tolerance{SimsPerSecDropPct: 10, NsPerOpGrowthPct: 25},
-		Ops:         60_000,
-		PeakRSSKB:   U64(123_456),
 		HotPath: &HotPath{
 			Benchmark: "BenchmarkSimulatorUopsPerSecond",
-			BeforeRef: "abc1234",
-			Before:    Metrics{NsPerOp: 4e7, BytesPerOp: 12_917_656, AllocsPerOp: 421_396},
-			After:     Metrics{NsPerOp: 2.4e7, BytesPerOp: 1_468_546, AllocsPerOp: 16_497},
+			Metrics:   Metrics{NsPerOp: 2.4e7, BytesPerOp: 774_000, AllocsPerOp: 987},
 		},
-		Experiments: []Experiment{
-			{ID: "table2", Title: "Table 2", Job: "matrix", WallMS: 1234.5,
-				Sims: U64(30), SimsPerSec: F64(24.3), AllocMB: 800, Allocs: 1_000_000,
-				Profiles: []Profile{{
-					Kind: "cpu", Artifact: "artifacts/matrix-table2.cpu.pb.gz", Bytes: 512,
-					TopHot: []HotFunc{{Function: "repro/internal/sim.step", FlatPct: 41.5, Flat: 415}},
-				}}},
-			{ID: "table1", Title: "Table 1", Job: "matrix", WallMS: 0.06, AllocMB: 0.01, Allocs: 136},
-		},
-		Cluster: []ClusterRun{{
-			Job: "cluster", Workers: 2, Requests: 8, WallMS: 4000,
-			Client:     LatencySummary{Count: 8, P50MS: 450, P90MS: 600, P99MS: 700, MaxMS: 720},
-			Server:     LatencySummary{Count: 8, P50MS: 400, P90MS: 550, P99MS: 650},
-			Consistent: true,
+		Workloads: []Workload{{
+			Name: "pointer-sweep", Runs: 3, Correct: true, Attempted: 340,
+			Metrics: []Metric{
+				{Name: "uops_per_s", Value: 6.3e6, Unit: "uop/s", Better: "higher", Bound: 0.25},
+				{Name: "cdp_speedup", Value: 1.2927, Unit: "x", Better: "higher", Bound: 0.01},
+			},
 		}},
 	}
 }
@@ -57,82 +43,21 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.Schema != SchemaVersion {
 		t.Fatalf("schema %d, want %d", got.Schema, SchemaVersion)
 	}
-	if got.HotPath == nil || !reflect.DeepEqual(*got.HotPath, *want.HotPath) {
-		t.Fatalf("hot path round trip: %+v vs %+v", got.HotPath, want.HotPath)
-	}
-	if got.Suite != "default" || got.Tolerance == nil || got.Tolerance.SimsPerSecDropPct != 10 {
-		t.Fatalf("suite/tolerance round trip: %q %+v", got.Suite, got.Tolerance)
-	}
-	if got.PeakRSSKB == nil || *got.PeakRSSKB != 123_456 {
-		t.Fatalf("peak RSS round trip: %v", got.PeakRSSKB)
-	}
-	if len(got.Experiments) != 2 {
-		t.Fatalf("experiments round trip: %+v", got.Experiments)
-	}
-	e := got.Experiments[0]
-	if !e.Measured() || *e.Sims != 30 || *e.SimsPerSec != 24.3 {
-		t.Fatalf("measured experiment round trip: %+v", e)
-	}
-	if len(e.Profiles) != 1 || e.Profiles[0].TopHot[0].Function != "repro/internal/sim.step" {
-		t.Fatalf("profile round trip: %+v", e.Profiles)
-	}
-	if got.Experiments[1].Measured() {
-		t.Fatalf("wall-only experiment claims a throughput measurement: %+v", got.Experiments[1])
-	}
-	if len(got.Cluster) != 1 || !got.Cluster[0].Consistent || got.Cluster[0].Client.P99MS != 700 {
-		t.Fatalf("cluster round trip: %+v", got.Cluster)
-	}
-}
-
-// Wall-only experiments must serialize without rate fields at all: a v2
-// report never spells "not measured" as zero.
-func TestWallOnlyExperimentOmitsRates(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_1.json")
-	if err := Write(path, sampleReport()); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), `"sims": 0`) || strings.Contains(string(data), `"sims_per_sec": 0`) {
-		t.Fatalf("zero-valued rate fields leaked into the report:\n%s", data)
+	if strings.Contains(string(data), `"after"`) {
+		t.Fatalf("a current report spells its hot path the v1/v2 way:\n%s", data)
 	}
 }
 
-// A report from a platform without VmHWM carries an explicit null and the
-// rss_unsupported note, not a zero.
-func TestUnsupportedRSSIsNull(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_1.json")
-	r := sampleReport()
-	r.PeakRSSKB = nil
-	r.Notes = append(r.Notes, NoteRSSUnsupported)
-	if err := Write(path, r); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"peak_rss_kb": null`) {
-		t.Fatalf("expected explicit null peak_rss_kb:\n%s", data)
-	}
-	got, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PeakRSSKB != nil {
-		t.Fatalf("null peak_rss_kb decoded as %v", *got.PeakRSSKB)
-	}
-	if len(got.Notes) != 1 || got.Notes[0] != NoteRSSUnsupported {
-		t.Fatalf("notes round trip: %v", got.Notes)
-	}
-}
-
-// Read must keep accepting the v1 layout: the verdict compares fresh v2
+// Read must keep accepting the v1 layout: the verdict compares fresh
 // reports against the checked-in trajectory, which starts at schema 1.
+// Only the hot-path block survives, moved out of "after".
 func TestReadAcceptsSchemaV1(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_1.json")
@@ -158,15 +83,12 @@ func TestReadAcceptsSchemaV1(t *testing.T) {
 	if r.Schema != 1 {
 		t.Fatalf("schema = %d", r.Schema)
 	}
-	// v1 zeros decode as "unmeasured", real rates stay measured.
-	if r.Experiments[0].Measured() {
-		t.Fatalf("v1 zero-rate experiment treated as measured: %+v", r.Experiments[0])
+	want := Metrics{NsPerOp: 2e7, BytesPerOp: 1, AllocsPerOp: 16497}
+	if r.HotPath == nil || r.HotPath.Metrics != want || r.HotPath.After != nil {
+		t.Fatalf("v1 hot path = %+v, want %+v moved out of after", r.HotPath, want)
 	}
-	if !r.Experiments[1].Measured() || *r.Experiments[1].SimsPerSec != 104.1 {
-		t.Fatalf("v1 measured experiment lost its rate: %+v", r.Experiments[1])
-	}
-	if r.PeakRSSKB == nil || *r.PeakRSSKB != 269808 {
-		t.Fatalf("v1 peak RSS: %v", r.PeakRSSKB)
+	if len(r.Workloads) != 0 {
+		t.Fatalf("v1 report decoded workloads: %+v", r.Workloads)
 	}
 }
 

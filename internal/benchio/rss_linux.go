@@ -10,9 +10,8 @@ import (
 )
 
 // PeakRSS reads the process's resident-set high-water mark (VmHWM) from
-// /proc/self/status, in KiB. ok is false when the field cannot be read —
-// reports then record an explicit null rather than a zero a verdict would
-// mistake for a 100% regression.
+// /proc/self/status, in KiB. ok is false when the field cannot be read,
+// so callers can tell "unavailable" from a real reading.
 func PeakRSS() (kb uint64, ok bool) {
 	f, err := os.Open("/proc/self/status")
 	if err != nil {

@@ -56,17 +56,17 @@ func TestRunMatrixParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSimsRunCounterAdvances pins the telemetry hook: a matrix of N cells
-// advances the process-wide counter by exactly N.
+// TestSimsRunCounterAdvances pins runMatrix's accounting: a matrix of N
+// cells advances the process-wide sim.Runs counter by exactly N.
 func TestSimsRunCounterAdvances(t *testing.T) {
 	specs := workloads.SuiteRepresentatives()[:1]
 	o := Options{Ops: 20_000, Parallelism: 2}
 	cfgs := []sim.Config{baseConfig(o), with4MB(baseConfig(o))}
-	before := SimsRun()
+	before := sim.Runs()
 	if _, err := runMatrix(o, specs, cfgs); err != nil {
 		t.Fatal(err)
 	}
-	if got := SimsRun() - before; got != uint64(len(specs)*len(cfgs)) {
-		t.Fatalf("SimsRun advanced by %d, want %d", got, len(specs)*len(cfgs))
+	if got := sim.Runs() - before; got != uint64(len(specs)*len(cfgs)) {
+		t.Fatalf("sim.Runs advanced by %d, want %d", got, len(specs)*len(cfgs))
 	}
 }

@@ -17,18 +17,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// SimsRun reports how many simulations this process has completed,
-// including runs an experiment makes outside runMatrix. cmd/bench divides
-// the delta across an experiment by its wall time for the sims/sec
-// telemetry.
-func SimsRun() uint64 { return sim.Runs() }
-
 // Options scales an experiment run.
 type Options struct {
-	// Ctx cancels a run between simulations (nil = context.Background()).
-	// Cancellation is cooperative at matrix-cell granularity: a simulation
-	// that has started always finishes, so partial results stay
-	// byte-identical to what an uncancelled run would have produced.
+	// Ctx cancels a run (nil = context.Background()). Cancellation stops
+	// simulations mid-run (sim.RunContext) and starts no new ones: every
+	// matrix cell that had not completed stays nil, and the run returns an
+	// error naming how many cells completed, never a partial report.
 	Ctx context.Context
 	// Ops is the per-benchmark µop budget (0 = workloads.DefaultOps).
 	Ops int
@@ -45,12 +39,12 @@ type Options struct {
 }
 
 // rootCtx is the experiments package's single ambient-context fallback: an
-// Options with no Ctx belongs to a process-lifecycle caller (cmd/repro,
-// cmd/bench) that runs the experiment to completion or dies with it, so the
-// detached context is the intended semantics, not an accident. Every other
-// path must thread Options.Ctx. Keeping the fallback in one declared root
-// means `go run ./cmd/simlint` proves no new ambient context sneaks into
-// the service layer.
+// Options with no Ctx belongs to a process-lifecycle caller (cmd/experiments,
+// the benchmarks in bench_test.go) that runs the experiment to completion or
+// dies with it, so the detached context is the intended semantics, not an
+// accident. Every other path must thread Options.Ctx. Keeping the fallback
+// in one declared root means `go run ./cmd/simlint` proves no new ambient
+// context sneaks into the service layer.
 //
 // simlint:rootctx
 func rootCtx() context.Context {
@@ -157,9 +151,9 @@ func runMatrix(o Options, specs []workloads.Spec, cfgs []sim.Config) ([][]*sim.R
 		go func() {
 			defer wg.Done()
 			for c := range work {
-				// The cooperative cancellation check between matrix
-				// cells: once ctx is cancelled, remaining cells are
-				// drained without simulating.
+				// RunContext fails once ctx is cancelled, mid-run or
+				// before the cell starts: the cell stays nil, and the
+				// remaining cells drain without simulating.
 				res, err := sim.RunContext(ctx, cks[c.si], c.cfg)
 				if err != nil {
 					continue

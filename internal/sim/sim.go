@@ -11,8 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// runs counts completed simulations process-wide (telemetry for cmd/bench's
-// sims/sec column; see internal/benchio).
+// runs counts completed simulations process-wide: cdpd's simulation counter
+// on /metrics and the chaos scenarios' exactly-once checks read it.
 var runs atomic.Uint64
 
 // Runs reports how many simulations this process has completed.
