@@ -5,6 +5,7 @@ package benchio
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -18,7 +19,13 @@ func PeakRSS() (kb uint64, ok bool) {
 		return 0, false
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
+	return peakRSSFrom(f)
+}
+
+// peakRSSFrom scans a /proc/<pid>/status body for VmHWM. A body without
+// the field, or with one it cannot parse, reads as unavailable, never as 0.
+func peakRSSFrom(r io.Reader) (kb uint64, ok bool) {
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
 		if !strings.HasPrefix(line, "VmHWM:") {
