@@ -4,6 +4,13 @@
 // an identical (benchmark, config, ops) request is served from cache, and
 // concurrent identical submissions collapse into one simulation.
 //
+// Every simulation is a Cell: a POST /v1/sim request resolved with the
+// server's defaults (ResolveCell) and run on one path (simulate). An arena
+// is a plan of such cells, computed through a CellFunc by the experiments'
+// cell executor and reduced to a leaderboard. The standalone daemon
+// computes its cells locally; the cluster coordinator serves the same
+// ArenaHandler with a CellFunc that routes each cell to a worker.
+//
 // Endpoints:
 //
 //	POST   /v1/sim               submit a simulation (?wait=1 blocks for the result)
@@ -125,7 +132,7 @@ func NewWithOptions(q *jobq.Queue, c ResultCache, opts Options) (*Server, error)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleExperiment)
-	s.mux.HandleFunc("GET /v1/arena", s.handleArena)
+	s.mux.HandleFunc("GET /v1/arena", s.ArenaHandler(s.computeCell, 1))
 	s.mux.HandleFunc("GET /v1/engines", s.handleEngines)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -153,12 +160,10 @@ type jobPayload struct {
 // client.
 func JobResult(data []byte, cached bool) any { return jobPayload{data: data, cached: cached} }
 
-// JobResultBytes unpacks a value packed by JobResult (or produced by a
-// local sim/arena job).
-func JobResultBytes(v any) (data []byte, cached bool, ok bool) {
-	p, ok := v.(jobPayload)
-	return p.data, p.cached, ok
-}
+// ErrUnavailable marks a job that failed because nothing could run it at
+// the time, such as a cluster coordinator with no live workers. RespondJob
+// answers such a failure with 503, so clients retry instead of giving up.
+var ErrUnavailable = errors.New("service unavailable")
 
 // envelope is the terminal response shape for results.
 type envelope struct {
@@ -166,7 +171,8 @@ type envelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -174,8 +180,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes the {"error": ...} body every endpoint fails with.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // writeBackpressure maps ErrQueueFull to 429 with a Retry-After estimate
@@ -183,7 +190,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // [1s, 30s]) and ErrShuttingDown to 503.
 func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 	if errors.Is(err, jobq.ErrShuttingDown) {
-		writeError(w, http.StatusServiceUnavailable, "shutting down")
+		WriteError(w, http.StatusServiceUnavailable, "shutting down")
 		return
 	}
 	retry := s.queue.Stats().Depth
@@ -194,7 +201,7 @@ func (s *Server) writeBackpressure(w http.ResponseWriter, err error) {
 		retry = 30
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeError(w, http.StatusTooManyRequests, "queue full, retry in ~%ds", retry)
+	WriteError(w, http.StatusTooManyRequests, "queue full, retry in ~%ds", retry)
 }
 
 // handleSubmitSim is POST /v1/sim: validate, consult the cache, and only
@@ -204,26 +211,22 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.CheckpointEveryOps == 0 {
-		req.CheckpointEveryOps = s.opts.CheckpointEveryOps
-	}
-	spec, cfg, ops, err := buildSim(req)
+	c, err := s.ResolveCell(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := simcache.KeyFor(spec, cfg, ops)
 	lookupStart := time.Now()
-	data, hit := s.cache.Get(key)
+	data, hit := s.cache.Get(c.Key)
 	s.cacheLookup.Observe(time.Since(lookupStart))
 	if hit {
 		s.logger.Info("sim served from cache",
-			"content_key", key.String(), "benchmark", req.Benchmark)
+			"content_key", c.Key.String(), "benchmark", req.Benchmark)
 		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+		WriteJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
 		return
 	}
 	if s.shedLowPriority(req.Priority) {
@@ -231,27 +234,16 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	id := SimJobID(key)
-	var resume *sim.Snapshot
-	if s.store != nil && cfg.CheckpointEveryOps > 0 {
-		// A snapshot persisted under this content-keyed ID — by a previous
-		// process, or by a dead cluster peer when the checkpoint dir is
-		// shared — lets the run pick up from its last boundary instead of
-		// µop zero. This is the work-stealing resume path: the coordinator
-		// resubmits a stolen job to a new worker, and the new worker finds
-		// the victim's snapshot right here.
-		if resume = s.store.loadSnapshot(id); resume != nil {
-			s.resumedJobs.Add(1)
-		}
-	}
+	id := c.ID()
+	resume := s.resumePoint(c)
 	traced := req.Trace && resume == nil
-	job, err := s.queue.SubmitTimeout(id, req.Priority, s.adaptiveTimeout(ops),
-		s.simJob(id, spec, cfg, ops, key, resume, time.Now(), traced))
+	job, err := s.queue.SubmitTimeout(id, req.Priority, s.adaptiveTimeout(c.Ops),
+		s.simJob(c, resume, time.Now(), traced))
 	if errors.Is(err, jobq.ErrDuplicateID) {
 		// The same request is already queued or running; attach to it
 		// instead of spending another slot.
 		if j, ok := s.queue.Get(id); ok {
-			s.respondJob(w, r, req.Wait, j)
+			s.RespondJob(w, r, req.Wait, j)
 			return
 		}
 	}
@@ -262,66 +254,99 @@ func (s *Server) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	if s.store != nil {
 		// Persist the defaulted request so a restarted daemon can rebuild
 		// this exact job (same content key, same ID) and resume it.
-		if err := s.store.saveRequest(id, req); err != nil {
+		if err := s.store.saveRequest(id, c.Req); err != nil {
 			s.ckptWriteErrs.Add(1)
 		}
 	}
-	s.respondJob(w, r, req.Wait, job)
+	s.RespondJob(w, r, req.Wait, job)
+}
+
+// resumePoint returns the boundary snapshot persisted under c's job ID —
+// by a previous process, or by a dead cluster peer when the checkpoint dir
+// is shared — so a segmented run picks up from its last boundary instead
+// of µop zero. This is the work-stealing resume path: the coordinator
+// resubmits a stolen job to a new worker, and the new worker finds the
+// victim's snapshot here. Nil when there is nothing to resume.
+func (s *Server) resumePoint(c Cell) *sim.Snapshot {
+	if s.store == nil || c.Cfg.CheckpointEveryOps <= 0 {
+		return nil
+	}
+	snap := s.store.loadSnapshot(c.ID())
+	if snap != nil {
+		s.resumedJobs.Add(1)
+	}
+	return snap
 }
 
 // simJob builds the job function for one simulation request. The cache
 // fill happens inside the job so the queue, not the HTTP handler, pays for
 // the simulation, and GetOrCompute collapses concurrent identical keys
-// into one run. With a positive checkpoint interval the simulation runs
-// segmented, persisting each boundary snapshot (when a store is
-// configured); resume picks the run up from a snapshot recovered at
-// startup instead of µop zero.
+// into one run. resume picks the run up from a snapshot instead of µop
+// zero.
 //
 // submitted is when the request was accepted; the gap to the job function
-// starting is the queue wait. With traced set, the run carries a simtrace
-// ring and the rendered Chrome trace is retained for GET
-// /v1/jobs/{id}/trace — only when this job actually computes: a cache hit
-// or collapsed computation runs no simulation, so there is nothing to
-// trace.
-func (s *Server) simJob(id string, spec workloads.Spec, cfg sim.Config, ops int, key simcache.Key, resume *sim.Snapshot, submitted time.Time, traced bool) jobq.Func {
+// starting is the queue wait. traced is honoured only when this job
+// actually computes: a cache hit or collapsed computation runs no
+// simulation, so there is nothing to trace.
+func (s *Server) simJob(c Cell, resume *sim.Snapshot, submitted time.Time, traced bool) jobq.Func {
 	return func(ctx context.Context, j *jobq.Job) (any, error) {
 		wait := time.Since(submitted)
 		s.queueWait.Observe(wait)
-		log := s.logger.With("job_id", id, "content_key", key.String(), "benchmark", spec.Name)
-		log.Info("job started", "queue_wait", wait, "ops", ops, "traced", traced)
-		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-			j.SetProgress("generating checkpoint", 0, 2)
-			ck := workloads.Checkpoint(spec, ops)
-			j.SetProgress("simulating", 1, 2)
-			var tr *simtrace.Tracer
-			if traced {
-				tr = simtrace.New(traceRingCap)
-			}
-			start := time.Now()
-			res, err := s.runSim(ctx, j, id, ck, cfg, resume, tr)
-			dur := time.Since(start)
-			if err != nil {
-				log.Warn("simulation failed", "sim_duration", dur, "error", err)
-				return nil, err
-			}
-			s.runDur.Observe(dur)
-			s.observeSimRate(dur, ops)
-			log.Info("simulation finished", "sim_duration", dur,
-				"cycles", res.Core.Cycles, "ipc", res.IPC())
-			if tr != nil {
-				s.storeTrace(id, tr, log)
-			}
-			return renderResult(spec.Name, ops, res)
+		s.cellLogger(c).Info("job started", "queue_wait", wait, "ops", c.Ops, "traced", traced)
+		data, hit, err := s.cache.GetOrCompute(c.Key, func() ([]byte, error) {
+			return s.simulate(ctx, c, resume, traced, j.SetProgress)
 		})
 		if err != nil {
 			return nil, err
 		}
 		if s.store != nil {
-			s.store.remove(id)
+			s.store.remove(c.ID())
 		}
 		j.SetProgress("finished", 2, 2)
 		return jobPayload{data: data, cached: hit}, nil
 	}
+}
+
+// cellLogger scopes request logs to one simulation.
+func (s *Server) cellLogger(c Cell) *slog.Logger {
+	return s.logger.With("job_id", c.ID(), "content_key", c.Key.String(), "benchmark", c.Spec.Name)
+}
+
+// noProgress discards the stage reports of a simulation that is one cell
+// of a larger job, which reports its own progress.
+func noProgress(string, int, int) {}
+
+// simulate is the run path of every simulation this server computes, a
+// POST /v1/sim job or an arena cell: generate the trace checkpoint, run it
+// (runSim), time the run into cdpd_run_duration_seconds and the adaptive
+// deadline's rate, and render the cacheable result. progress receives the
+// stage. With traced set, the run carries a simtrace ring and the rendered
+// Chrome trace is retained for GET /v1/jobs/{id}/trace.
+func (s *Server) simulate(ctx context.Context, c Cell, resume *sim.Snapshot, traced bool,
+	progress func(stage string, done, total int)) ([]byte, error) {
+	log := s.cellLogger(c)
+	progress("generating checkpoint", 0, 2)
+	ck := workloads.Checkpoint(c.Spec, c.Ops)
+	progress("simulating", 1, 2)
+	var tr *simtrace.Tracer
+	if traced {
+		tr = simtrace.New(traceRingCap)
+	}
+	start := time.Now()
+	res, err := s.runSim(ctx, c, ck, resume, tr, progress)
+	dur := time.Since(start)
+	if err != nil {
+		log.Warn("simulation failed", "sim_duration", dur, "error", err)
+		return nil, err
+	}
+	s.runDur.Observe(dur)
+	s.observeSimRate(dur, c.Ops)
+	log.Info("simulation finished", "sim_duration", dur,
+		"cycles", res.Core.Cycles, "ipc", res.IPC())
+	if tr != nil {
+		s.storeTrace(c.ID(), tr, log)
+	}
+	return renderResult(c.Spec.Name, c.Ops, res)
 }
 
 // storeTrace renders the ring as Chrome trace_event JSON and retains it
@@ -344,9 +369,11 @@ func (s *Server) storeTrace(id string, tr *simtrace.Tracer, log *slog.Logger) {
 // boundaries for segmented runs and continuously for plain ones. A non-nil
 // tracer records the run's event stream; resumed runs are never traced
 // (the ring would only cover the tail segment).
-func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.Checkpoint, cfg sim.Config, resume *sim.Snapshot, tr *simtrace.Tracer) (*sim.Result, error) {
-	if cfg.CheckpointEveryOps <= 0 {
-		return sim.RunTracedContext(ctx, ck, cfg, tr)
+func (s *Server) runSim(ctx context.Context, c Cell, ck *trace.Checkpoint, resume *sim.Snapshot, tr *simtrace.Tracer,
+	progress func(stage string, done, total int)) (*sim.Result, error) {
+	every := c.Cfg.CheckpointEveryOps
+	if every <= 0 {
+		return sim.RunTracedContext(ctx, ck, c.Cfg, tr)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -355,9 +382,9 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		j.SetProgress("simulating", 1+snap.OpsFetched/cfg.CheckpointEveryOps, 0)
+		progress("simulating", 1+snap.OpsFetched/every, 0)
 		if s.store != nil {
-			if err := s.store.saveSnapshot(id, snap); err != nil {
+			if err := s.store.saveSnapshot(c.ID(), snap); err != nil {
 				s.ckptWriteErrs.Add(1)
 			} else {
 				s.ckptWrites.Add(1)
@@ -366,16 +393,17 @@ func (s *Server) runSim(ctx context.Context, j *jobq.Job, id string, ck *trace.C
 		return nil
 	}
 	if resume != nil {
-		return sim.Resume(ck, cfg, resume, sink)
+		return sim.Resume(ck, c.Cfg, resume, sink)
 	}
-	return sim.RunCheckpointedTraced(ck, cfg, tr, sink)
+	return sim.RunCheckpointedTraced(ck, c.Cfg, tr, sink)
 }
 
-// respondJob either acknowledges the job (202) or, when wait is requested,
-// blocks until it is terminal and returns its result.
-func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, wait bool, job *jobq.Job) {
+// RespondJob either acknowledges the job (202) or, when wait is requested
+// (the argument or ?wait=1), blocks until it is terminal and returns its
+// result. The cluster coordinator answers its routed jobs through it too.
+func (s *Server) RespondJob(w http.ResponseWriter, r *http.Request, wait bool, job *jobq.Job) {
 	if !wait && r.URL.Query().Get("wait") != "1" {
-		writeJSON(w, http.StatusAccepted, map[string]string{
+		WriteJSON(w, http.StatusAccepted, map[string]string{
 			"job_id": job.ID(),
 			"status": "/v1/jobs/" + job.ID(),
 			"stream": "/v1/jobs/" + job.ID() + "/stream",
@@ -391,15 +419,18 @@ func (s *Server) respondJob(w http.ResponseWriter, r *http.Request, wait bool, j
 	v, err := job.Result()
 	if err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, jobq.ErrCanceled) {
+		switch {
+		case errors.Is(err, jobq.ErrCanceled):
 			code = http.StatusConflict
+		case errors.Is(err, ErrUnavailable):
+			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, "%v", err)
+		WriteError(w, code, "%v", err)
 		return
 	}
 	p := v.(jobPayload)
 	injectRespondFaults(w, r)
-	writeJSON(w, http.StatusOK, envelope{Cached: p.cached, Result: p.data})
+	WriteJSON(w, http.StatusOK, envelope{Cached: p.cached, Result: p.data})
 }
 
 // jobView is the GET /v1/jobs/{id} response.
@@ -417,7 +448,7 @@ type jobView struct {
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	u := job.Snapshot()
@@ -430,7 +461,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 // handleJobStream is GET /v1/jobs/{id}/stream: one JSON object per line
@@ -438,7 +469,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
+		WriteError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	updates, cancel := job.Subscribe()
@@ -488,10 +519,10 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	data, ok := s.traces.get(id)
 	if !ok {
 		if _, known := s.queue.Get(id); !known {
-			writeError(w, http.StatusNotFound, "no such job %q", id)
+			WriteError(w, http.StatusNotFound, "no such job %q", id)
 			return
 		}
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			"no trace for job %q: submit with \"trace\":true and note that cached or collapsed results run no simulation", id)
 		return
 	}
@@ -503,18 +534,18 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.queue.Get(id); !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		WriteError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
 	if !s.queue.Cancel(id) {
-		writeError(w, http.StatusConflict, "job %q already finished", id)
+		WriteError(w, http.StatusConflict, "job %q already finished", id)
 		return
 	}
 	if s.store != nil {
 		// A canceled job must not resurrect on the next restart.
 		s.store.remove(id)
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"job_id": id, "state": "canceling"})
+	WriteJSON(w, http.StatusOK, map[string]string{"job_id": id, "state": "canceling"})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

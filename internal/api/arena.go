@@ -3,17 +3,14 @@ package api
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
-	"repro/internal/sim"
 	"repro/internal/simcache"
 	"repro/internal/workloads"
 )
@@ -44,140 +41,136 @@ func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
 		e, _ := registry.Lookup(n)
 		out = append(out, engineView{Name: e.Name, Doc: e.Doc, Keys: e.Keys})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"engines": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"engines": out})
 }
 
-// handleArena is GET /v1/arena: run every requested engine over every
+// CellFunc computes one resolved cell and returns its rendered SimResult.
+// A standalone server computes its cells itself (computeCell); the cluster
+// coordinator routes each to the cell's ring owner.
+type CellFunc func(ctx context.Context, c Cell) ([]byte, error)
+
+// ArenaHandler is GET /v1/arena: run every requested engine over every
 // requested benchmark and rank the cells against the stride baseline.
 // Query parameters: ops (µop budget per cell), benchmarks and engines
 // (comma lists; default the suite representatives × the whole registry),
 // priority, wait=1.
 //
-// Each cell is cached under the same content key POST /v1/sim uses, so an
-// arena never re-simulates a configuration the daemon has already served —
-// and later single-sim requests hit the cells the arena filled.
-func (s *Server) handleArena(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ops, err := ParseOps(q.Get("ops"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	priority := 0
-	if v := q.Get("priority"); v != "" {
-		priority, err = strconv.Atoi(v)
+// Every cell, the stride baseline each benchmark is ranked against
+// included, is a POST /v1/sim request resolved exactly as the submit path
+// resolves it, so it runs under the same content key: an arena never
+// re-simulates a configuration the service has already served, and later
+// single-sim requests hit the cells the arena filled. cell computes the
+// cells, at most fanout at a time; the report is assembled in plan order,
+// so its bytes do not depend on which cell finished first.
+func (s *Server) ArenaHandler(cell CellFunc, fanout int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		a, err := s.planArena(q.Get("ops"), q.Get("benchmarks"), q.Get("engines"))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad priority %q", v)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-	}
-
-	var benchmarks []string
-	if v := q.Get("benchmarks"); v != "" {
-		benchmarks = strings.Split(v, ",")
-		for _, b := range benchmarks {
-			if _, err := workloads.ByName(b); err != nil {
-				writeError(w, http.StatusBadRequest,
-					"unknown benchmark %q (valid: %s)", b, strings.Join(benchmarkNames(), ", "))
-				return
-			}
+		priority, err := parsePriority(q.Get("priority"))
+		if err != nil {
+			WriteError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
+		key := simcache.KeyForArena(a.benchmarks, a.engines, a.ops)
+		s.serveSweep(w, r, "arena-", key, priority, func(ctx context.Context, j *jobq.Job) ([]byte, error) {
+			return a.run(ctx, j, cell, fanout)
+		})
+	}
+}
+
+// arena is one validated sweep: per benchmark, the stride baseline cell
+// followed by one cell per engine.
+type arena struct {
+	ops        int
+	benchmarks []string
+	engines    []string
+	cells      []Cell
+}
+
+// planArena parses an arena query and resolves every cell up front, so a
+// bad budget, benchmark or engine spec is a 400 rather than a failed job.
+func (s *Server) planArena(opsParam, benchParam, engineParam string) (arena, error) {
+	ops, err := ParseOps(opsParam)
+	if err != nil {
+		return arena{}, err
+	}
+	a := arena{ops: ops, engines: registry.Names()}
+	if benchParam != "" {
+		a.benchmarks = strings.Split(benchParam, ",")
 	} else {
 		for _, spec := range workloads.SuiteRepresentatives() {
-			benchmarks = append(benchmarks, spec.Name)
+			a.benchmarks = append(a.benchmarks, spec.Name)
 		}
 	}
-
-	engines := registry.Names()
-	if v := q.Get("engines"); v != "" {
-		engines = strings.Split(v, ",")
+	if engineParam != "" {
+		a.engines = strings.Split(engineParam, ",")
 	}
-	base := arenaBase(ops)
-	for _, e := range engines {
-		if _, err := arenaConfig(base, e); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+	for _, bench := range a.benchmarks {
+		for _, eng := range a.row() {
+			req, err := arenaCellRequest(bench, eng, ops)
+			if err != nil {
+				return arena{}, err
+			}
+			c, err := s.ResolveCell(req)
+			if err != nil {
+				return arena{}, err
+			}
+			a.cells = append(a.cells, c)
 		}
 	}
+	return a, nil
+}
 
-	key := simcache.KeyForArena(benchmarks, engines, ops)
-	if data, ok := s.cache.Get(key); ok {
-		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
-	}
-	if s.shedLowPriority(priority) {
-		s.writeShed(w)
-		return
-	}
+// row is the engine spec of each cell in one benchmark's row of the plan.
+func (a arena) row() []string { return append([]string{"stride"}, a.engines...) }
 
-	jobID := "arena-" + key.String()
-	job, err := s.queue.Submit(jobID, priority, s.arenaJob(benchmarks, engines, ops, key))
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		if j, ok := s.queue.Get(jobID); ok {
-			s.respondJob(w, r, false, j)
-			return
-		}
-	}
+// run computes every cell through the shared sweep executor, reporting
+// progress on j, and renders the ranked report.
+func (a arena) run(ctx context.Context, j *jobq.Job, cell CellFunc, fanout int) ([]byte, error) {
+	row := a.row()
+	results := make([]SimResult, len(a.cells))
+	_, err := experiments.Sweep(ctx, len(a.cells), fanout,
+		func(done, total int) { j.SetProgress("simulating", done, total) },
+		func(ctx context.Context, i int) error {
+			data, err := cell(ctx, a.cells[i])
+			if err == nil {
+				err = json.Unmarshal(data, &results[i])
+			}
+			if err != nil {
+				return fmt.Errorf("arena: cell %s/%s: %w", a.cells[i].Req.Benchmark, row[i%len(row)], err)
+			}
+			return nil
+		})
 	if err != nil {
-		s.writeBackpressure(w, err)
-		return
+		return nil, err
 	}
-	s.respondJob(w, r, false, job)
-}
-
-// arenaBase is the shared machine configuration every arena cell derives
-// from, mirroring buildSim's budget-derived warm-up and MPTU bucketing.
-func arenaBase(ops int) sim.Config {
-	cfg := sim.Default()
-	cfg.WarmupOps = uint64(ops / 8)
-	cfg.MPTUBucketOps = uint64(ops / 48)
-	if cfg.MPTUBucketOps == 0 {
-		cfg.MPTUBucketOps = 1
-	}
-	return cfg
-}
-
-// arenaConfig resolves one engine spec into a full simulator configuration.
-// The three engines with dedicated request knobs (stride is the always-on
-// baseline, cdp and markov_kb enable theirs) map to their canonical
-// configurations; the other entrants attach by sim.Config.WithEngine and
-// accept the registry's spec grammar.
-func arenaConfig(base sim.Config, engineSpec string) (sim.Config, error) {
-	name, params, err := registry.ParseSpec(engineSpec)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("arena: %w", err)
-	}
-	switch name {
-	case "stride", "cdp", "markov":
-		if len(params) > 0 {
-			return sim.Config{}, fmt.Errorf(
-				"arena: engine %q runs its canonical configuration; parameters are not supported here (use POST /v1/sim)", name)
+	cells := make([]report.ArenaCell, 0, len(a.benchmarks)*len(a.engines))
+	for bi, bench := range a.benchmarks {
+		base := &results[bi*len(row)]
+		for ei, eng := range a.engines {
+			cells = append(cells, makeArenaCell(eng, bench, base, &results[bi*len(row)+1+ei]))
 		}
 	}
-	switch name {
-	case "stride":
-		return base, nil
-	case "cdp":
-		return base.WithContent(core.DefaultConfig), nil
-	case "markov":
-		return base.WithMarkov(512*1024, base.L2), nil
-	default:
-		if err := registry.Validate(engineSpec); err != nil {
-			return sim.Config{}, fmt.Errorf("arena: %w", err)
-		}
-		return base.WithEngine(engineSpec), nil
-	}
+	return json.Marshal(arenaReport{
+		Ops:         a.ops,
+		Benchmarks:  a.benchmarks,
+		Engines:     a.engines,
+		Cells:       cells,
+		Leaderboard: report.ArenaLeaderboard(cells),
+	})
 }
 
-// ArenaCellRequest maps one arena cell onto the POST /v1/sim request that
-// reproduces arenaConfig's configuration — and therefore the same content
-// key. The cluster coordinator's arena fan-out builds cells from these, so
-// a cell computed on any worker fills the exact cache entry that worker's
-// own /v1/sim and /v1/arena paths read; a drift test pins the equivalence.
-// The stride baseline each benchmark is ranked against is the "stride"
-// cell.
-func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
+// arenaCellRequest maps one arena cell onto its POST /v1/sim request, the
+// one spelling of an engine spec as a machine configuration. The three
+// engines with dedicated request knobs (stride is the always-on baseline,
+// cdp and markov_kb enable theirs) run their canonical configurations; the
+// other entrants attach by the request's engine field and accept the
+// registry's spec grammar.
+func arenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	name, params, err := registry.ParseSpec(engineSpec)
 	if err != nil {
 		return SimRequest{}, fmt.Errorf("arena: %w", err)
@@ -206,40 +199,9 @@ func ArenaCellRequest(bench, engineSpec string, ops int) (SimRequest, error) {
 	return req, nil
 }
 
-// ArenaCellKey is the content key the standalone arena computes one cell
-// under (the arenaConfig path). The cluster drift test pins
-// ArenaCellRequest's resolved key to it, so the two spellings of a cell
-// can never silently diverge.
-func ArenaCellKey(bench, engineSpec string, ops int) (simcache.Key, error) {
-	spec, err := workloads.ByName(bench)
-	if err != nil {
-		return simcache.Key{}, err
-	}
-	cfg, err := arenaConfig(arenaBase(ops), engineSpec)
-	if err != nil {
-		return simcache.Key{}, err
-	}
-	return simcache.KeyFor(spec, cfg, ops), nil
-}
-
-// MarshalArenaReport renders the cacheable arena payload. Exported so the
-// coordinator's distributed fan-out and the local arenaJob produce the
-// same bytes for the same cells.
-func MarshalArenaReport(ops int, benchmarks, engines []string, cells []report.ArenaCell) ([]byte, error) {
-	return json.Marshal(arenaReport{
-		Ops:         ops,
-		Benchmarks:  benchmarks,
-		Engines:     engines,
-		Cells:       cells,
-		Leaderboard: report.ArenaLeaderboard(cells),
-	})
-}
-
-// MakeArenaCell assembles one leaderboard cell from a benchmark's stride
-// baseline result and the engine under test's. Exported so the
-// coordinator's distributed fan-out attributes and ranks cells exactly as
-// the local arenaJob does.
-func MakeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell {
+// makeArenaCell assembles one leaderboard cell from a benchmark's stride
+// baseline result and the engine under test's.
+func makeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell {
 	cell := report.ArenaCell{
 		Engine:    engine,
 		Benchmark: bench,
@@ -261,78 +223,16 @@ func MakeArenaCell(engine, bench string, base, res *SimResult) report.ArenaCell 
 	return cell
 }
 
-// arenaJob sweeps the benchmark × engine matrix. Every cell — and the
-// stride baseline each benchmark is ranked against — flows through
-// GetOrCompute under the /v1/sim content key, so concurrent arenas and
-// single-sim requests all collapse onto one simulation per configuration.
-func (s *Server) arenaJob(benchmarks, engines []string, ops int, key simcache.Key) jobq.Func {
-	return func(ctx context.Context, j *jobq.Job) (any, error) {
-		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-			total := len(benchmarks) * (len(engines) + 1)
-			done := 0
-			cells := make([]report.ArenaCell, 0, len(benchmarks)*len(engines))
-			base := arenaBase(ops)
-			for _, bench := range benchmarks {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				spec, err := workloads.ByName(bench)
-				if err != nil {
-					return nil, err
-				}
-				baseRes, err := s.arenaCell(ctx, spec, base, ops)
-				done++
-				j.SetProgress("simulating", done, total)
-				if err != nil {
-					return nil, err
-				}
-				for _, eng := range engines {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					cfg, err := arenaConfig(base, eng)
-					if err != nil {
-						return nil, err
-					}
-					res, err := s.arenaCell(ctx, spec, cfg, ops)
-					done++
-					j.SetProgress("simulating", done, total)
-					if err != nil {
-						return nil, err
-					}
-					cells = append(cells, MakeArenaCell(eng, bench, baseRes, res))
-				}
-			}
-			return MarshalArenaReport(ops, benchmarks, engines, cells)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return jobPayload{data: data, cached: hit}, nil
-	}
-}
-
-// arenaCell computes (or fetches) one simulation under the /v1/sim content
-// key and decodes the stable SimResult the cache stores.
-func (s *Server) arenaCell(ctx context.Context, spec workloads.Spec, cfg sim.Config, ops int) (*SimResult, error) {
-	key := simcache.KeyFor(spec, cfg, ops)
-	data, _, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ck := workloads.Checkpoint(spec, ops)
-		res, err := sim.RunContext(ctx, ck, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return renderResult(spec.Name, ops, res)
+// computeCell is the standalone server's CellFunc: the cell takes the
+// POST /v1/sim run path under its content key, so an arena cell and a
+// single sim of the same configuration share one cache entry and one
+// simulation.
+func (s *Server) computeCell(ctx context.Context, c Cell) ([]byte, error) {
+	data, _, err := s.cache.GetOrCompute(c.Key, func() ([]byte, error) {
+		return s.simulate(ctx, c, s.resumePoint(c), false, noProgress)
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && s.store != nil {
+		s.store.remove(c.ID())
 	}
-	var res SimResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("arena: corrupt cached cell for %s: %w", spec.Name, err)
-	}
-	return &res, nil
+	return data, err
 }

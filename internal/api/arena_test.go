@@ -1,7 +1,9 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/jobq"
 	"repro/internal/prefetch/registry"
 	"repro/internal/report"
+	"repro/internal/sim"
+	"repro/internal/simcache"
 )
 
 func getArena(t *testing.T, s *Server, query string) *httptest.ResponseRecorder {
@@ -125,7 +129,8 @@ func TestArenaSweep(t *testing.T) {
 }
 
 // TestArenaBadRequests exercises the 400 paths: unknown engines carry the
-// registry's valid-name listing, and classic engines reject parameters.
+// registry's valid-name listing, and the engines with dedicated request
+// knobs (cdp, markov) reject parameters.
 func TestArenaBadRequests(t *testing.T) {
 	s, _ := newTestServer(t, jobq.Config{Workers: 1, Capacity: 4})
 	cases := []struct {
@@ -134,6 +139,7 @@ func TestArenaBadRequests(t *testing.T) {
 	}{
 		{"?engines=quake3", "valid: bestoffset, cdp, markov, pangloss, stride"},
 		{"?engines=cdp:depth=9", "parameters are not supported here"},
+		{"?engines=markov:entries=64", "parameters are not supported here"},
 		{"?engines=pangloss:rows=100", "power of two"},
 		{"?benchmarks=nope", "unknown benchmark"},
 		{"?ops=-5", "bad ops"},
@@ -147,5 +153,37 @@ func TestArenaBadRequests(t *testing.T) {
 		if !strings.Contains(w.Body.String(), tc.wantErr) {
 			t.Errorf("%s: body %s missing %q", tc.query, w.Body, tc.wantErr)
 		}
+	}
+}
+
+// TestArenaFillsSimCache: an arena cell is resolved and run exactly like
+// POST /v1/sim, the server's default checkpoint interval included, so a
+// single sim of an arena's cell is a cache hit at every interval.
+func TestArenaFillsSimCache(t *testing.T) {
+	for _, every := range []int{0, 5000} {
+		t.Run(fmt.Sprintf("checkpoint_every=%d", every), func(t *testing.T) {
+			q := jobq.New(jobq.Config{Workers: 1, Capacity: 4})
+			t.Cleanup(func() { _ = q.Shutdown(context.Background()) })
+			s, err := NewWithOptions(q, simcache.New(1<<24), Options{CheckpointEveryOps: every})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := getArena(t, s, "?ops=20000&benchmarks=b2c&engines=cdp&wait=1"); w.Code != http.StatusOK {
+				t.Fatalf("arena: %d %s", w.Code, w.Body)
+			}
+			runs := sim.Runs()
+			for _, body := range []string{
+				`{"benchmark":"b2c","ops":20000,"wait":true}`,
+				`{"benchmark":"b2c","ops":20000,"cdp":true,"wait":true}`,
+			} {
+				w := postSim(t, s, body)
+				if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"cached":true`) {
+					t.Errorf("%s after the arena: %d %s, want a cache hit", body, w.Code, w.Body)
+				}
+			}
+			if d := sim.Runs() - runs; d != 0 {
+				t.Errorf("single sims of arena cells ran %d simulations, want 0", d)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/sim"
-	"repro/internal/simcache"
 )
 
 // ckptStore persists, per running simulation job, the request that started
@@ -158,31 +157,30 @@ func (s *Server) RecoverJobs() (int, error) {
 	}
 	n := 0
 	for _, p := range pending {
-		spec, cfg, ops, err := buildSim(p.req)
+		c, err := newCell(p.req)
 		if err != nil {
 			// The request predates a validation change; nothing to resume.
 			s.store.remove(p.id)
 			continue
 		}
-		key := simcache.KeyFor(spec, cfg, ops)
-		if id := SimJobID(key); id != p.id {
+		if c.ID() != p.id {
 			// Hash scheme changed across the restart; the snapshot would
 			// land under a different job anyway.
 			s.store.remove(p.id)
 			continue
 		}
-		if _, ok := s.cache.Get(key); ok {
+		if _, ok := s.cache.Get(c.Key); ok {
 			s.store.remove(p.id)
 			continue
 		}
 		snap := p.snap
-		if snap != nil && cfg.CheckpointEveryOps <= 0 {
+		if snap != nil && c.Cfg.CheckpointEveryOps <= 0 {
 			snap = nil
 		}
 		// Recovered jobs are never traced: a resume would only cover the
 		// tail segment, and the submitter who wanted the trace is gone.
-		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(ops),
-			s.simJob(p.id, spec, cfg, ops, key, snap, time.Now(), false))
+		_, err = s.queue.SubmitTimeout(p.id, p.req.Priority, s.adaptiveTimeout(c.Ops),
+			s.simJob(c, snap, time.Now(), false))
 		if err != nil {
 			// Queue full or shutting down: leave the files for next time.
 			continue

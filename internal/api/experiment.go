@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 
 	"repro/internal/experiments"
 	"repro/internal/jobq"
@@ -29,42 +28,68 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	runner, err := experiments.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	q := r.URL.Query()
 	ops, err := ParseOps(q.Get("ops"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	reps := q.Get("reps") == "1"
-	priority := 0
-	if v := q.Get("priority"); v != "" {
-		priority, err = strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad priority %q", v)
-			return
-		}
-	}
-
-	key := simcache.KeyForExperiment(id, ops, reps)
-	if data, ok := s.cache.Get(key); ok {
-		injectRespondFaults(w, r)
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+	priority, err := parsePriority(q.Get("priority"))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	key := simcache.KeyForExperiment(id, ops, reps)
+	s.serveSweep(w, r, "exp-", key, priority, func(ctx context.Context, j *jobq.Job) ([]byte, error) {
+		// Per-simulation matrix progress goes to stream subscribers.
+		rep, err := runner.Run(experiments.Options{
+			Ctx:  ctx,
+			Ops:  ops,
+			Reps: reps,
+			Progress: func(done, total int) {
+				j.SetProgress("simulating", done, total)
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(experimentReport{
+			ID: runner.ID, Title: runner.Title, Ops: ops, Reps: reps, Text: rep.Text,
+		})
+	})
+}
 
+// serveSweep answers a sweep request (an experiment or an arena) whose
+// report caches under key: a cached report is served at once; otherwise
+// compute runs as job idPrefix+key inside the cache's GetOrCompute, and an
+// identical request arriving meanwhile attaches to that job instead of
+// spending another queue slot.
+func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, idPrefix string, key simcache.Key, priority int,
+	compute func(ctx context.Context, j *jobq.Job) ([]byte, error)) {
+	if data, ok := s.cache.Get(key); ok {
+		injectRespondFaults(w, r)
+		WriteJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
+		return
+	}
 	if s.shedLowPriority(priority) {
 		s.writeShed(w)
 		return
 	}
-
-	jobID := "exp-" + key.String()
-	job, err := s.queue.Submit(jobID, priority, s.experimentJob(runner, ops, reps, key))
+	jobID := idPrefix + key.String()
+	job, err := s.queue.Submit(jobID, priority, func(ctx context.Context, j *jobq.Job) (any, error) {
+		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) { return compute(ctx, j) })
+		if err != nil {
+			return nil, err
+		}
+		return jobPayload{data: data, cached: hit}, nil
+	})
 	if errors.Is(err, jobq.ErrDuplicateID) {
 		if j, ok := s.queue.Get(jobID); ok {
-			s.respondJob(w, r, false, j)
+			s.RespondJob(w, r, false, j)
 			return
 		}
 	}
@@ -72,32 +97,5 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.writeBackpressure(w, err)
 		return
 	}
-	s.respondJob(w, r, false, job)
-}
-
-// experimentJob runs one experiment under the job's context, forwarding
-// per-simulation matrix progress to stream subscribers.
-func (s *Server) experimentJob(runner experiments.Runner, ops int, reps bool, key simcache.Key) jobq.Func {
-	return func(ctx context.Context, j *jobq.Job) (any, error) {
-		data, hit, err := s.cache.GetOrCompute(key, func() ([]byte, error) {
-			rep, err := runner.Run(experiments.Options{
-				Ctx:  ctx,
-				Ops:  ops,
-				Reps: reps,
-				Progress: func(done, total int) {
-					j.SetProgress("simulating", done, total)
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(experimentReport{
-				ID: runner.ID, Title: runner.Title, Ops: ops, Reps: reps, Text: rep.Text,
-			})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return jobPayload{data: data, cached: hit}, nil
-	}
+	s.RespondJob(w, r, false, job)
 }

@@ -106,7 +106,7 @@ func (s *Server) writeShed(w http.ResponseWriter) {
 		retry = 30
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeError(w, http.StatusTooManyRequests,
+	WriteError(w, http.StatusTooManyRequests,
 		"load shedding low-priority work (queue %.0f%% full), retry in ~%ds",
 		100*float64(st.Depth)/float64(st.Capacity), retry)
 }

@@ -55,9 +55,8 @@ type SimRequest struct {
 	// with dedicated knobs above keep them (stride is the always-on
 	// baseline, cdp and markov_kb enable theirs);
 	// naming them here is rejected so every configuration has exactly one
-	// request spelling — and therefore exactly one content key. The
-	// coordinator's arena fan-out rides this field so a cell lands on a
-	// worker under the exact content key the worker's own arena would use.
+	// request spelling — and therefore exactly one content key. Arena
+	// cells of the other entrants ride this field.
 	Engine string `json:"engine,omitempty"`
 
 	L2KB       int  `json:"l2_kb,omitempty"`       // 0 = 1024; at most MaxL2KB
@@ -118,12 +117,7 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 		}
 	}
 
-	cfg := sim.Default()
-	cfg.WarmupOps = uint64(ops / 8)
-	cfg.MPTUBucketOps = uint64(ops / 48)
-	if cfg.MPTUBucketOps == 0 {
-		cfg.MPTUBucketOps = 1
-	}
+	cfg := sim.ForOps(ops)
 	if req.L2KB > 0 {
 		cfg.L2.SizeBytes = req.L2KB * 1024
 	}
@@ -180,6 +174,40 @@ func buildSim(req SimRequest) (workloads.Spec, sim.Config, int, error) {
 	return spec, cfg, ops, nil
 }
 
+// Cell is one simulation resolved for the run path: the defaulted
+// POST /v1/sim request, the inputs buildSim resolves it to, and their
+// content key. A single sim and every arena cell, on a standalone daemon
+// or routed by the cluster coordinator, are resolved into one.
+type Cell struct {
+	Req  SimRequest
+	Spec workloads.Spec
+	Cfg  sim.Config
+	Ops  int
+	Key  simcache.Key
+}
+
+// ID is the cell's content-keyed job ID.
+func (c Cell) ID() string { return SimJobID(c.Key) }
+
+// ResolveCell applies this server's request defaults (its default
+// checkpoint interval) to req and resolves it, exactly as POST /v1/sim
+// does.
+func (s *Server) ResolveCell(req SimRequest) (Cell, error) {
+	if req.CheckpointEveryOps == 0 {
+		req.CheckpointEveryOps = s.opts.CheckpointEveryOps
+	}
+	return newCell(req)
+}
+
+// newCell resolves an already-defaulted request.
+func newCell(req SimRequest) (Cell, error) {
+	spec, cfg, ops, err := buildSim(req)
+	if err != nil {
+		return Cell{}, err
+	}
+	return Cell{Req: req, Spec: spec, Cfg: cfg, Ops: ops, Key: simcache.KeyFor(spec, cfg, ops)}, nil
+}
+
 // ParseOps reads an ops query parameter under the rule every request
 // surface shares: empty or 0 is DefaultOps, and anything negative, above
 // MaxOps or not an integer is an error naming the field.
@@ -198,6 +226,18 @@ func ParseOps(v string) (int, error) {
 	return ops, nil
 }
 
+// parsePriority reads a priority query parameter (empty = 0).
+func parsePriority(v string) (int, error) {
+	if v == "" {
+		return 0, nil
+	}
+	p, err := strconv.Atoi(v)
+	if err != nil {
+		return 0, fmt.Errorf("bad priority %q", v)
+	}
+	return p, nil
+}
+
 func resolveOps(ops int) (int, error) {
 	switch {
 	case ops < 0:
@@ -210,7 +250,8 @@ func resolveOps(ops int) (int, error) {
 	return ops, nil
 }
 
-// ResolveSim resolves a request exactly as the submit handler does, for
+// ResolveSim resolves a request exactly as the submit handler does once
+// the server's defaults are applied (ResolveCell applies them), for
 // callers that must agree with this server about content keys — the
 // cluster coordinator routes by simcache.KeyFor over these outputs, and
 // where its routing disagreed with the workers' own resolution the

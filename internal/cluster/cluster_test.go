@@ -520,6 +520,24 @@ func TestClusterNoWorkers(t *testing.T) {
 	}
 }
 
+// TestClusterArenaNoWorkers: a waited arena sweep on an empty ring fails
+// with the same 503 as a single sim, not a 500.
+func TestClusterArenaNoWorkers(t *testing.T) {
+	_, coordTS := startCoordinator(t, CoordinatorOptions{})
+	resp, err := http.Get(coordTS.URL + "/v1/arena?ops=10000&benchmarks=quake&engines=cdp&wait=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("arena with no workers: %d %s, want 503", resp.StatusCode, payload)
+	}
+	if !strings.Contains(string(payload), "no live workers") {
+		t.Errorf("error %s does not name the cause", payload)
+	}
+}
+
 // TestClusterTraceRedirect: trace requests are redirected to the worker
 // that ran the job.
 func TestClusterTraceRedirect(t *testing.T) {
@@ -594,36 +612,5 @@ func TestWorkerCacheEndpoint(t *testing.T) {
 		if resp.StatusCode != wantCode {
 			t.Errorf("GET %s: %d, want %d", path, resp.StatusCode, wantCode)
 		}
-	}
-}
-
-// TestArenaCellRequestMatchesArenaConfig pins the key equivalence the
-// distributed arena rests on: the /v1/sim request ArenaCellRequest builds
-// for a cell must resolve to the exact content key the standalone arena
-// computes that cell under. If arenaConfig and ArenaCellRequest ever
-// drift, fan-out stops deduplicating against local sweeps.
-func TestArenaCellRequestMatchesArenaConfig(t *testing.T) {
-	const ops = 20_000
-	for _, engine := range []string{"stride", "cdp", "markov"} {
-		req, err := api.ArenaCellRequest("quake", engine, ops)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		spec, cfg, resolvedOps, err := api.ResolveSim(req)
-		if err != nil {
-			t.Fatalf("%s: resolve: %v", engine, err)
-		}
-		got := simcache.KeyFor(spec, cfg, resolvedOps)
-		want, err := api.ArenaCellKey("quake", engine, ops)
-		if err != nil {
-			t.Fatalf("%s: arena key: %v", engine, err)
-		}
-		if got != want {
-			t.Errorf("engine %s: ArenaCellRequest key %s != arenaConfig key %s", engine, got, want)
-		}
-	}
-	// Parameterised canonical engines are rejected on both paths.
-	if _, err := api.ArenaCellRequest("quake", "markov(budget_kb=64)", ops); err == nil {
-		t.Error("parameterised markov accepted by ArenaCellRequest")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,10 +18,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/faultinject"
 	"repro/internal/jobq"
-	"repro/internal/prefetch/registry"
-	"repro/internal/report"
 	"repro/internal/simcache"
-	"repro/internal/workloads"
 )
 
 const (
@@ -48,8 +44,9 @@ const (
 	arenaFanout = 8
 )
 
-// errNoWorkers fails jobs routed while the ring is empty.
-var errNoWorkers = errors.New("cluster: no live workers")
+// errNoWorkers fails jobs routed while the ring is empty; it wraps
+// api.ErrUnavailable, so waiting clients get a 503.
+var errNoWorkers = fmt.Errorf("cluster: no live workers: %w", api.ErrUnavailable)
 
 // joinRequest is the register/heartbeat/leave body a worker posts.
 type joinRequest struct {
@@ -200,7 +197,13 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if c.logger == nil {
 		c.logger = slog.New(slog.DiscardHandler)
 	}
-	srv, err := api.NewWithOptions(c.queue, c.cache, api.Options{Logger: opts.Logger})
+	// The embedded server resolves requests with the cluster's default
+	// checkpoint interval, so a cell the coordinator routes carries the
+	// same content key a standalone daemon with that default computes.
+	srv, err := api.NewWithOptions(c.queue, c.cache, api.Options{
+		CheckpointEveryOps: opts.CheckpointEveryOps,
+		Logger:             opts.Logger,
+	})
 	if err != nil {
 		cancel()
 		return nil, err
@@ -226,7 +229,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	// engine listings behave exactly as standalone.
 	c.mux.Handle("/", srv)
 	c.mux.HandleFunc("POST /v1/sim", c.handleSubmitSim)
-	c.mux.HandleFunc("GET /v1/arena", c.handleArena)
+	c.mux.HandleFunc("GET /v1/arena", srv.ArenaHandler(c.dispatchCell, arenaFanout))
 	c.mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleTrace)
 	c.mux.HandleFunc("POST /v1/cluster/register", c.handleRegister)
 	c.mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
@@ -336,38 +339,26 @@ func (c *Coordinator) Kill() {
 	_ = c.queue.Shutdown(ctx)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // ---- membership ----
 
 // handleRegister admits (or refreshes) a worker. The register.error fault
 // point models an admission failure the worker must retry through.
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Error("cluster.register.error"); err != nil {
-		writeError(w, http.StatusInternalServerError, "registration failed: %v", err)
+		api.WriteError(w, http.StatusInternalServerError, "registration failed: %v", err)
 		return
 	}
 	var req joinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad register body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad register body: %v", err)
 		return
 	}
 	if req.Name == "" {
-		writeError(w, http.StatusBadRequest, "register: empty worker name")
+		api.WriteError(w, http.StatusBadRequest, "register: empty worker name")
 		return
 	}
 	if u, err := url.Parse(req.URL); err != nil || !u.IsAbs() || u.Host == "" {
-		writeError(w, http.StatusBadRequest, "register: worker url %q is not absolute", req.URL)
+		api.WriteError(w, http.StatusBadRequest, "register: worker url %q is not absolute", req.URL)
 		return
 	}
 
@@ -390,7 +381,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	m.expires = time.Now().Add(c.opts.leaseTTL())
 	reply := c.joinReplyLocked()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, reply)
+	api.WriteJSON(w, http.StatusOK, reply)
 }
 
 // handleHeartbeat renews a lease. Unknown workers get 404 and re-register
@@ -399,7 +390,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad heartbeat body: %v", err)
 		return
 	}
 	c.mu.Lock()
@@ -407,13 +398,13 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	m, ok := c.members[req.Name]
 	if !ok {
 		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "heartbeat from unregistered worker %q; re-register", req.Name)
+		api.WriteError(w, http.StatusNotFound, "heartbeat from unregistered worker %q; re-register", req.Name)
 		return
 	}
 	m.expires = time.Now().Add(c.opts.leaseTTL())
 	reply := c.joinReplyLocked()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, reply)
+	api.WriteJSON(w, http.StatusOK, reply)
 }
 
 // handleLeave is a graceful departure: the worker drains, so drop it now
@@ -421,11 +412,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad leave body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad leave body: %v", err)
 		return
 	}
 	c.dropMember(req.Name, "left")
-	writeJSON(w, http.StatusOK, map[string]string{"left": req.Name})
+	api.WriteJSON(w, http.StatusOK, map[string]string{"left": req.Name})
 }
 
 // handleMembers reports the live ring.
@@ -434,7 +425,7 @@ func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 	c.expireLocked(time.Now())
 	reply := c.joinReplyLocked()
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, reply)
+	api.WriteJSON(w, http.StatusOK, reply)
 }
 
 // joinReplyLocked snapshots membership for register/heartbeat/members
@@ -700,38 +691,33 @@ func (c *Coordinator) handleSubmitSim(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.CheckpointEveryOps == 0 {
-		// Stamp the default explicitly before forwarding so every worker
-		// resolves the same configuration — and the same content key —
-		// regardless of its own flags.
-		req.CheckpointEveryOps = c.opts.CheckpointEveryOps
-	}
-	spec, cfg, ops, err := api.ResolveSim(req)
+	// Resolving stamps the default checkpoint interval into the request
+	// before it is forwarded, so every worker resolves the same
+	// configuration — and the same content key — regardless of its own
+	// flags.
+	cell, err := c.api.ResolveCell(req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	key := simcache.KeyFor(spec, cfg, ops)
-	id := api.SimJobID(key)
-
-	wait := req.Wait || r.URL.Query().Get("wait") == "1"
+	id := cell.ID()
 	job, err := c.queue.SubmitExternal(id, req.Priority)
 	if errors.Is(err, jobq.ErrDuplicateID) {
 		// Same content key already in flight: attach to it.
 		if j, ok := c.queue.Get(id); ok {
-			c.respondJob(w, r, wait, j)
+			c.api.RespondJob(w, r, req.Wait, j)
 			return
 		}
 	}
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	go c.forward(job, id, key, req)
-	c.respondJob(w, r, wait, job)
+	go c.forward(job, id, cell.Key, cell.Req)
+	c.api.RespondJob(w, r, req.Wait, job)
 }
 
 // forward drives one external job to its terminal state in the
@@ -755,43 +741,6 @@ func (c *Coordinator) forward(job *jobq.Job, id string, key simcache.Key, req ap
 	c.queue.CompleteExternal(id, api.JobResult(data, cached), nil)
 }
 
-// respondJob mirrors the api server's submit response contract: 202 with
-// job links, or block for the terminal result when wait is requested.
-func (c *Coordinator) respondJob(w http.ResponseWriter, r *http.Request, wait bool, job *jobq.Job) {
-	if !wait {
-		writeJSON(w, http.StatusAccepted, map[string]string{
-			"job_id": job.ID(),
-			"status": "/v1/jobs/" + job.ID(),
-			"stream": "/v1/jobs/" + job.ID() + "/stream",
-		})
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// Client gave up; the forward keeps running for the next caller.
-		return
-	}
-	v, err := job.Result()
-	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, jobq.ErrCanceled) {
-			code = http.StatusConflict
-		}
-		if errors.Is(err, errNoWorkers) {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, "%v", err)
-		return
-	}
-	data, cached, ok := api.JobResultBytes(v)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "job %s finished with an unexpected value", job.ID())
-		return
-	}
-	writeJSON(w, http.StatusOK, envelope{Cached: cached, Result: data})
-}
-
 // handleTrace redirects a trace request to the worker that ran the job —
 // traces are captured where the simulation ran and never cross the wire.
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -800,198 +749,20 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	workerURL, ok := c.placed[id]
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		api.WriteError(w, http.StatusNotFound,
 			"no placement recorded for job %q: traces live on the worker that ran the simulation", id)
 		return
 	}
 	http.Redirect(w, r, workerURL+"/v1/jobs/"+id+"/trace", http.StatusTemporaryRedirect)
 }
 
-// ---- distributed arena ----
-
-// handleArena fans an arena sweep's cells out across the fleet: every
-// (benchmark, engine) cell becomes a /v1/sim placement routed by its own
-// content key, so cells land on their owners, dedupe against every other
-// request in the cluster, and fill the shared tiers. The assembled report
-// is cached locally under the same arena key a standalone daemon uses.
-func (c *Coordinator) handleArena(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	ops, err := api.ParseOps(q.Get("ops"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	priority := 0
-	if v := q.Get("priority"); v != "" {
-		priority, err = strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad priority %q", v)
-			return
-		}
-	}
-	var benchmarks []string
-	if v := q.Get("benchmarks"); v != "" {
-		benchmarks = strings.Split(v, ",")
-	} else {
-		for _, spec := range workloads.SuiteRepresentatives() {
-			benchmarks = append(benchmarks, spec.Name)
-		}
-	}
-	engines := registry.Names()
-	if v := q.Get("engines"); v != "" {
-		engines = strings.Split(v, ",")
-	}
-	// Validate every cell up front (unknown benchmark, bad engine spec)
-	// so errors are a 400 here, not a failed job later.
-	for _, bench := range benchmarks {
-		for _, eng := range append([]string{"stride"}, engines...) {
-			cellReq, err := api.ArenaCellRequest(bench, eng, ops)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-			if _, _, _, err := api.ResolveSim(cellReq); err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-	}
-
-	key := simcache.KeyForArena(benchmarks, engines, ops)
-	if data, ok := c.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, envelope{Cached: true, Result: data})
-		return
-	}
-	jobID := "arena-" + key.String()
-	job, err := c.queue.Submit(jobID, priority, c.arenaJob(benchmarks, engines, ops, key))
-	if errors.Is(err, jobq.ErrDuplicateID) {
-		if j, ok := c.queue.Get(jobID); ok {
-			c.respondJob(w, r, q.Get("wait") == "1", j)
-			return
-		}
-	}
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	c.respondJob(w, r, q.Get("wait") == "1", job)
-}
-
-// arenaJob assembles one distributed sweep. Cells are dispatched
-// concurrently (bounded by arenaFanout) and the report is assembled in the
-// same benchmark-outer, engine-inner order as a standalone arena, so the
-// rendered bytes agree with a single daemon sweeping the same matrix.
-func (c *Coordinator) arenaJob(benchmarks, engines []string, ops int, key simcache.Key) jobq.Func {
-	return func(ctx context.Context, j *jobq.Job) (any, error) {
-		data, hit, err := c.cache.GetOrCompute(key, func() ([]byte, error) {
-			return c.runArena(ctx, j, benchmarks, engines, ops)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return api.JobResult(data, hit), nil
-	}
-}
-
-// arenaCellResult is one dispatched cell's decoded outcome.
-type arenaCellResult struct {
-	bench, engine string // engine "" = the stride baseline
-	res           *api.SimResult
-	err           error
-}
-
-// runArena dispatches every cell (plus each benchmark's stride baseline)
-// across the fleet and assembles the report.
-func (c *Coordinator) runArena(ctx context.Context, j *jobq.Job, benchmarks, engines []string, ops int) ([]byte, error) {
-	type cellSpec struct{ bench, engine string }
-	var specs []cellSpec
-	for _, bench := range benchmarks {
-		specs = append(specs, cellSpec{bench, ""})
-		for _, eng := range engines {
-			specs = append(specs, cellSpec{bench, eng})
-		}
-	}
-
-	var (
-		done    atomic.Int64
-		total   = len(specs)
-		sem     = make(chan struct{}, arenaFanout)
-		results = make([]arenaCellResult, total)
-		wg      sync.WaitGroup
-	)
-	for i, spec := range specs {
-		wg.Add(1)
-		go func(i int, spec cellSpec) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			engineSpec := spec.engine
-			if engineSpec == "" {
-				engineSpec = "stride"
-			}
-			res, err := c.dispatchCell(ctx, spec.bench, engineSpec, ops)
-			results[i] = arenaCellResult{bench: spec.bench, engine: spec.engine, res: res, err: err}
-			j.SetProgress("simulating", int(done.Add(1)), total)
-		}(i, spec)
-	}
-	wg.Wait()
-
-	baselines := map[string]*api.SimResult{}
-	cellRes := map[cellSpec]*api.SimResult{}
-	for i, spec := range specs {
-		r := results[i]
-		if r.err != nil {
-			return nil, fmt.Errorf("cell %s/%s: %w", spec.bench, orStride(spec.engine), r.err)
-		}
-		if spec.engine == "" {
-			baselines[spec.bench] = r.res
-		} else {
-			cellRes[spec] = r.res
-		}
-	}
-
-	var cells []report.ArenaCell
-	for _, bench := range benchmarks {
-		base := baselines[bench]
-		for _, eng := range engines {
-			res := cellRes[cellSpec{bench, eng}]
-			cells = append(cells, api.MakeArenaCell(eng, bench, base, res))
-		}
-	}
-	return api.MarshalArenaReport(ops, benchmarks, engines, cells)
-}
-
-// dispatchCell routes one arena cell through the cluster under its /v1/sim
-// content key.
-func (c *Coordinator) dispatchCell(ctx context.Context, bench, engineSpec string, ops int) (*api.SimResult, error) {
-	cellReq, err := api.ArenaCellRequest(bench, engineSpec, ops)
-	if err != nil {
-		return nil, err
-	}
-	if c.opts.CheckpointEveryOps != 0 && cellReq.CheckpointEveryOps == 0 {
-		cellReq.CheckpointEveryOps = c.opts.CheckpointEveryOps
-	}
-	spec, cfg, resolvedOps, err := api.ResolveSim(cellReq)
-	if err != nil {
-		return nil, err
-	}
-	key := simcache.KeyFor(spec, cfg, resolvedOps)
-	data, _, err := c.routeSim(ctx, api.SimJobID(key), key, cellReq)
-	if err != nil {
-		return nil, err
-	}
-	var res api.SimResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, fmt.Errorf("corrupt cell result: %w", err)
-	}
-	return &res, nil
-}
-
-func orStride(engine string) string {
-	if engine == "" {
-		return "stride(baseline)"
-	}
-	return engine
+// dispatchCell is the coordinator's arena CellFunc: it routes one cell to
+// its ring owner under the cell's /v1/sim content key, so cells land on
+// their owners, dedupe against every other request in the cluster, and
+// fill the shared tiers.
+func (c *Coordinator) dispatchCell(ctx context.Context, cell api.Cell) ([]byte, error) {
+	data, _, err := c.routeSim(ctx, cell.ID(), cell.Key, cell.Req)
+	return data, err
 }
 
 // ---- cluster telemetry ----

@@ -203,12 +203,12 @@ func (w *Worker) Peers(key simcache.Key) []string {
 func (w *Worker) handleCacheGet(rw http.ResponseWriter, r *http.Request) {
 	key, err := simcache.ParseKey(r.PathValue("key"))
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, "%v", err)
+		api.WriteError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
 	data, ok := w.tiered.GetLocal(key)
 	if !ok {
-		writeError(rw, http.StatusNotFound, "key %s not resident", key)
+		api.WriteError(rw, http.StatusNotFound, "key %s not resident", key)
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json")

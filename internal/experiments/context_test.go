@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -90,5 +92,44 @@ func TestRunnerPropagatesCancellation(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not wrap context.Canceled", err)
+	}
+}
+
+// TestSweepFirstErrorInPlanOrder: the sweep reports the lowest-indexed
+// failure even when a later cell fails first, starts no cell after a
+// failure, and turns a panicking cell into an error.
+func TestSweepFirstErrorInPlanOrder(t *testing.T) {
+	errLow, errHigh := errors.New("cell 0"), errors.New("cell 1")
+	_, err := Sweep(context.Background(), 2, 2, nil, func(ctx context.Context, i int) error {
+		if i == 0 {
+			time.Sleep(20 * time.Millisecond) // fail after cell 1 has
+			return errLow
+		}
+		return errHigh
+	})
+	if !errors.Is(err, errLow) {
+		t.Fatalf("sweep error %v, want the lowest-indexed failure %v", err, errLow)
+	}
+
+	var started []int
+	done, err := Sweep(context.Background(), 5, 1, nil, func(ctx context.Context, i int) error {
+		started = append(started, i)
+		if i == 2 {
+			return errLow
+		}
+		return nil
+	})
+	if !errors.Is(err, errLow) || done != 2 || len(started) != 3 {
+		t.Fatalf("serial sweep: err %v, %d done, started %v; want cells 0-2 started and 2 done", err, done, started)
+	}
+
+	_, err = Sweep(context.Background(), 3, 2, nil, func(ctx context.Context, i int) error {
+		if i == 1 {
+			panic("boom")
+		}
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("panicking cell gave error %v, want one naming the panic", err)
 	}
 }

@@ -104,3 +104,21 @@ func TestTLBRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestTinyBudget runs an experiment at a budget below 48 µops, where the
+// MPTU bucket width ops/48 rounds to zero. The budget-scaled machine floors
+// it at one µop, so the run returns a report instead of panicking inside a
+// sweep goroutine (which took the whole daemon down with it).
+func TestTinyBudget(t *testing.T) {
+	r, err := Get("table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(Options{Ops: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep == nil || !strings.Contains(rep.Text, "Table 2") {
+		t.Fatalf("tiny-budget table2 rendered no table: %+v", rep)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,8 @@ type Options struct {
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 	// Progress, when non-nil, is called after each completed matrix cell
-	// with the running completion count and the matrix total. Calls are
-	// serialized but may arrive from any worker goroutine.
+	// with the running completion count and the matrix total, on the
+	// goroutine that called Run.
 	Progress func(done, total int)
 }
 
@@ -79,17 +80,8 @@ func (o Options) sweepSpecs() []workloads.Spec {
 	return workloads.All()
 }
 
-// warmFor scales the warm-up boundary to the trace budget (the paper uses
-// ~1/6 of the trace; see Section 2.2).
-func warmFor(ops int) uint64 { return uint64(ops / 8) }
-
 // baseConfig is the Table 1 stride-only baseline scaled to the options.
-func baseConfig(o Options) sim.Config {
-	cfg := sim.Default()
-	cfg.WarmupOps = warmFor(o.ops())
-	cfg.MPTUBucketOps = uint64(o.ops() / 48)
-	return cfg
-}
+func baseConfig(o Options) sim.Config { return sim.ForOps(o.ops()) }
 
 // with4MB returns cfg with the 4 MiB UL2 of Figure 1 / Table 2.
 func with4MB(cfg sim.Config) sim.Config {
@@ -103,14 +95,6 @@ type Report struct {
 	ID    string
 	Title string
 	Text  string
-}
-
-// cell identifies one simulation in a matrix run.
-type cell struct {
-	spec workloads.Spec
-	cfg  sim.Config
-	si   int
-	ci   int
 }
 
 // runMatrix simulates every (spec, config) pair and returns results indexed
@@ -134,49 +118,90 @@ func runMatrix(o Options, specs []workloads.Spec, cfgs []sim.Config) ([][]*sim.R
 	for i := range out {
 		out[i] = make([]*sim.Result, len(cfgs))
 	}
-	var cells []cell
-	for si, s := range specs {
-		for ci, c := range cfgs {
-			cells = append(cells, cell{spec: s, cfg: c, si: si, ci: ci})
-		}
+	done, err := Sweep(ctx, total, o.workers(), o.Progress, func(ctx context.Context, i int) error {
+		si, ci := i/len(cfgs), i%len(cfgs)
+		res, err := sim.RunContext(ctx, cks[si], cfgs[ci])
+		out[si][ci] = res
+		return err
+	})
+	if cerr := ctx.Err(); cerr != nil {
+		return out, partialErr(done, total, cerr)
+	}
+	return out, err
+}
+
+// Sweep is the one bounded fan-out over the cells of a sweep: the
+// experiments' matrices and the daemon's arena both run through it. It
+// calls cell(ctx, i) for i in [0, total), starting cells in index order on
+// at most fanout goroutines (fanout < 1 means one). Once ctx is cancelled
+// or a cell has failed, no further cell starts; cells already running
+// finish. progress, when non-nil, is called on the caller's goroutine
+// after each successful cell with the running count and total.
+//
+// Sweep returns how many cells succeeded. The error is ctx's when it was
+// cancelled, otherwise the failure of the lowest-indexed failed cell:
+// cells start in index order, so that error does not depend on which
+// goroutine finished first.
+func Sweep(ctx context.Context, total, fanout int, progress func(done, total int), cell func(ctx context.Context, i int) error) (int, error) {
+	type outcome struct {
+		i   int
+		err error
 	}
 	var (
-		done   atomic.Uint64
-		progMu sync.Mutex
+		next     atomic.Int64
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+		outcomes = make(chan outcome)
 	)
-	work := make(chan cell)
-	var wg sync.WaitGroup
-	for w := 0; w < o.workers(); w++ {
+	for range min(max(fanout, 1), total) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range work {
-				// RunContext fails once ctx is cancelled, mid-run or
-				// before the cell starts: the cell stays nil, and the
-				// remaining cells drain without simulating.
-				res, err := sim.RunContext(ctx, cks[c.si], c.cfg)
+			for !failed.Load() && ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= total {
+					return
+				}
+				err := runCell(ctx, i, cell)
 				if err != nil {
-					continue
+					failed.Store(true)
 				}
-				out[c.si][c.ci] = res
-				n := int(done.Add(1))
-				if o.Progress != nil {
-					progMu.Lock()
-					o.Progress(n, total)
-					progMu.Unlock()
-				}
+				outcomes <- outcome{i, err}
 			}
 		}()
 	}
-	for _, c := range cells {
-		work <- c
+	go func() {
+		wg.Wait()
+		close(outcomes)
+	}()
+	done, first := 0, outcome{i: total}
+	for o := range outcomes {
+		switch {
+		case o.err == nil:
+			done++
+			if progress != nil {
+				progress(done, total)
+			}
+		case o.i < first.i:
+			first = o
+		}
 	}
-	close(work)
-	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return out, partialErr(int(done.Load()), total, err)
+		return done, err
 	}
-	return out, nil
+	return done, first.err
+}
+
+// runCell runs one cell, turning a panic into the cell's error: the cells
+// run on the sweep's own goroutines, where a panic would otherwise take
+// the whole process down instead of failing one job.
+func runCell(ctx context.Context, i int, cell func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("experiments: cell %d panicked: %v\n%s", i, r, debug.Stack())
+		}
+	}()
+	return cell(ctx, i)
 }
 
 // partialErr wraps a context error with the sweep coverage at the moment it
@@ -195,9 +220,8 @@ func meanSpeedup(results [][]*sim.Result, ci, base int) float64 {
 	return sum / float64(len(results))
 }
 
-// Runner is one registered experiment. Run returns a non-nil error only
-// when the options' context was cancelled; the report then covers whatever
-// completed before the cut.
+// Runner is one registered experiment. Run returns an error, and no
+// report, when the options' context was cancelled or a simulation failed.
 type Runner struct {
 	ID    string
 	Title string

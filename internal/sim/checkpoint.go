@@ -196,9 +196,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	return ReadSnapshot(bytes.NewReader(data))
 }
 
-// machine bundles the components of one simulation so the uninterrupted
-// and resumed paths share construction, warm-up arming, and result
-// assembly.
+// machine bundles the components of one simulation so the plain,
+// segmented and resumed paths share construction, warm-up arming, and
+// result assembly.
 type machine struct {
 	cfg  Config
 	st   *stats.Counters
@@ -210,11 +210,17 @@ type machine struct {
 	warmed    bool
 }
 
-func newMachine(ck *trace.Checkpoint, cfg Config) *machine {
+// newMachine builds the machine for ck under cfg; a non-nil tracer records
+// its event stream.
+func newMachine(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *machine {
 	m := &machine{cfg: cfg, st: &stats.Counters{}}
 	m.mptu = stats.NewMPTUSeries(cfg.MPTUBucketOps)
 	m.ms = NewMemSystem(&m.cfg, ck.Space, m.st, m.mptu)
 	m.c = cpu.New(cfg.Core, m.st)
+	if tr != nil {
+		m.ms.AttachTracer(tr)
+		m.c.AttachTracer(tr)
+	}
 	return m
 }
 
@@ -280,7 +286,7 @@ func (m *machine) restoreSnapshot(snap *Snapshot) error {
 	return nil
 }
 
-// finish mirrors Run's result assembly.
+// finish assembles the result of a completed run and counts it in Runs.
 func (m *machine) finish(coreRes cpu.Result) *Result {
 	m.st.Cycles = coreRes.Cycles
 	m.st.WarmCycles = m.warmCycle
@@ -353,11 +359,7 @@ func RunCheckpointedTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer
 	if cfg.CheckpointEveryOps <= 0 {
 		return nil, fmt.Errorf("sim: RunCheckpointed needs CheckpointEveryOps > 0")
 	}
-	m := newMachine(ck, cfg)
-	if tr != nil {
-		m.ms.AttachTracer(tr)
-		m.c.AttachTracer(tr)
-	}
+	m := newMachine(ck, cfg, tr)
 	m.armWarmup()
 	return m.run(ck, sink)
 }
@@ -369,7 +371,7 @@ func Resume(ck *trace.Checkpoint, cfg Config, snap *Snapshot, sink func(*Snapsho
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := newMachine(ck, cfg)
+	m := newMachine(ck, cfg, nil)
 	if err := m.restoreSnapshot(snap); err != nil {
 		return nil, err
 	}

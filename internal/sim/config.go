@@ -108,6 +108,18 @@ func Default() Config {
 	}
 }
 
+// ForOps returns the Table 1 baseline scaled to an ops-µop trace budget:
+// warm-up over the first eighth of the budget (the paper warms on ~1/6 of
+// a trace, Section 2.2) and MPTU sampled in 48 buckets, each at least one
+// µop wide. The experiments and the daemon both build their machines from
+// it, so a budget resolves to one configuration wherever it is requested.
+func ForOps(ops int) Config {
+	c := Default()
+	c.WarmupOps = uint64(ops / 8)
+	c.MPTUBucketOps = uint64(max(ops/48, 1))
+	return c
+}
+
 // with returns c with engine p appended to its chain. The append goes to a
 // clipped copy, so configurations derived from one base never share a
 // backing array.

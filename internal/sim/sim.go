@@ -91,57 +91,17 @@ func RunTraced(ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *Result {
 }
 
 // runUntil simulates ck, giving up with a nil result once done is closed.
+// It builds, arms and finishes the same machine the checkpointed path does,
+// running it in one piece instead of segments.
 func runUntil(done <-chan struct{}, ck *trace.Checkpoint, cfg Config, tr *simtrace.Tracer) *Result {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	st := &stats.Counters{}
-	mptu := stats.NewMPTUSeries(cfg.MPTUBucketOps)
-	ms := NewMemSystem(&cfg, ck.Space, st, mptu)
-	c := cpu.New(cfg.Core, st)
-	if tr != nil {
-		ms.AttachTracer(tr)
-		c.AttachTracer(tr)
-	}
-
-	var warmCycle int64
-	if cfg.WarmupOps > 0 {
-		// The observer unsubscribes at the warm-up boundary so the
-		// post-warm-up region (the measured bulk of the run) retires
-		// with batched accounting and no per-µop callback.
-		c.OnRetire = func(retired uint64, cycle int64) {
-			if retired >= cfg.WarmupOps {
-				warmCycle = cycle
-				st.Reset(cycle)
-				c.OnRetire = nil
-			}
-		}
-	}
-	coreRes, finished := c.RunUntil(done, ck.Trace, ms, cfg.MaxOps)
+	m := newMachine(ck, cfg, tr)
+	m.armWarmup()
+	coreRes, finished := m.c.RunUntil(done, ck.Trace, m.ms, cfg.MaxOps)
 	if !finished {
 		return nil
 	}
-	st.Cycles = coreRes.Cycles
-	st.WarmCycles = warmCycle
-
-	hits, misses := ms.TLBStats()
-	// Mirror the lifetime translation counts into the counter block so the
-	// report emitter sees them (statsreg keeps the two in lockstep).
-	st.TLBHits = hits
-	st.TLBMisses = misses
-	res := &Result{
-		Config:         cfg,
-		Core:           coreRes,
-		Counters:       st,
-		MPTU:           mptu,
-		MeasuredCycles: coreRes.Cycles - warmCycle,
-		MeasuredUops:   coreRes.Retired,
-		TLBHits:        hits,
-		TLBMisses:      misses,
-	}
-	if cfg.WarmupOps > 0 && coreRes.Retired > cfg.WarmupOps {
-		res.MeasuredUops = coreRes.Retired - cfg.WarmupOps
-	}
-	runs.Add(1)
-	return res
+	return m.finish(coreRes)
 }
